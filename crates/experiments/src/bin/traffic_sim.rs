@@ -28,7 +28,8 @@ fn usage() -> ! {
          prints the per-cell CSV (stdout) plus a summary (stderr).\n\
          --quick shrinks the run to CI size; --pattern/--models take comma lists\n\
          (patterns: uniform, transpose, hotspot); --rate is injected messages per\n\
-         cycle; --threads pins the worker-pool size (output is identical at any\n\
+         cycle; --vc-capacity is buffer slots per link and virtual channel (at\n\
+         most 255); --threads pins the worker-pool size (output is identical at any\n\
          value); --csv-only suppresses the stderr summary;\n\
          --metrics dumps the mocp_obs registry (build with --features obs)."
     );

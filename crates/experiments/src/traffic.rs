@@ -46,8 +46,9 @@ pub struct TrafficScenario {
     pub base_seed: u64,
     /// Messages entering their source queues per cycle.
     pub injection_rate: usize,
-    /// Buffer slots per (link, virtual channel).
-    pub vc_capacity: usize,
+    /// Buffer slots per (link, virtual channel), at most 255 (see
+    /// [`SimConfig::vc_capacity`]).
+    pub vc_capacity: u8,
     /// Hard cycle horizon (`0` = auto, see [`SimConfig::max_cycles`]).
     pub max_cycles: u64,
     /// Pairs routed by the static reachability probe per cell.

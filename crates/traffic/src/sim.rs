@@ -22,6 +22,20 @@
 //! when a hop is actually blocked, so a million messages on a 512² mesh
 //! never materialise a million hop vectors.
 //!
+//! Link state is one packed `u64` per directed link: the four VC occupancy
+//! bytes, the round-robin pointer, this cycle's request mask and the index
+//! of this cycle's request slot. A hop reads and writes one cache line of
+//! link state instead of four scattered arrays, and links are numbered
+//! along their direction of travel, so a message's successive hops touch
+//! neighbouring words. An idle link is the all-zero word (the round-robin
+//! pointer is stored one past the last grant, so 0 is the initial pointer
+//! past vc3), which lets the vector come from zeroed memory: pages of links
+//! no message crosses are never touched. A cycle's requests go into a
+//! compact list of slots, one per requested link, holding the first
+//! requester on each channel, in the order the links were first requested;
+//! the grant walks that list and moves each granted message to the next
+//! hop it recorded at request time.
+//!
 //! The simulation is sequential by design; parallelism lives one layer up,
 //! where independent (model × pattern × trial) cells fan out on the rayon
 //! pool and this determinism makes the merged CSV byte-identical at any
@@ -35,6 +49,51 @@ use rand::{rngs::StdRng, SeedableRng};
 
 const NONE: u32 = u32::MAX;
 
+// The packed link word:
+//   bits  0..32  occupancy of vc0..vc3, one byte each;
+//   bits 32..34  the channel the link is offered to first (one past the
+//                last grant);
+//   bits 34..38  this cycle's request mask, one bit per channel;
+//   bits 38..64  this cycle's request-slot index, valid while the mask is
+//                non-zero.
+const OCCUPANCY: u64 = 0xFFFF_FFFF;
+const NEXT_VC_SHIFT: u32 = 32;
+const MASK_SHIFT: u32 = 34;
+const SLOT_SHIFT: u32 = 38;
+
+/// One requested link of the current cycle: the first requester on each
+/// channel whose bit is set in the link's request mask.
+struct Slot {
+    link: u32,
+    first: [u32; 4],
+}
+
+/// Records `id`'s request for channel `vc` of `link`, unless an earlier
+/// message of this cycle already holds that channel's request.
+fn request(words: &mut [u64], slots: &mut Vec<Slot>, link: usize, vc: usize, id: u32) {
+    let word = words[link];
+    let bit = 1u64 << (MASK_SHIFT as usize + vc);
+    if word >> MASK_SHIFT & 0xF == 0 {
+        words[link] = word | bit | (slots.len() as u64) << SLOT_SHIFT;
+        let mut first = [NONE; 4];
+        first[vc] = id;
+        slots.push(Slot {
+            link: link as u32,
+            first,
+        });
+    } else if word & bit == 0 {
+        words[link] = word | bit;
+        slots[(word >> SLOT_SHIFT) as usize].first[vc] = id;
+    }
+}
+
+/// Frees buffer `buffer` (`link * 4 + vc`) in its link's occupancy byte
+/// and in the per-channel total.
+fn vacate(words: &mut [u64], vc_now: &mut [u64; 4], buffer: u32) {
+    words[(buffer >> 2) as usize] -= 1 << (8 * (buffer & 3));
+    vc_now[(buffer & 3) as usize] -= 1;
+}
+
 /// Configuration of one traffic run.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SimConfig {
@@ -44,8 +103,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Messages entering their source queues per cycle (the offered load).
     pub injection_rate: usize,
-    /// Buffer slots per (link, virtual channel).
-    pub vc_capacity: usize,
+    /// Buffer slots per (link, virtual channel); `0` is treated as `1`.
+    /// Each channel's occupancy is one byte of the packed link word.
+    pub vc_capacity: u8,
     /// Hard cycle horizon; `0` picks a bound that lets a non-saturated run
     /// drain (saturated runs report the remainder as stranded).
     pub max_cycles: u64,
@@ -87,25 +147,31 @@ enum MsgState {
 
 struct Msg {
     current: Coord,
+    /// Hop requested this cycle, moved to when the request is granted.
+    next: Coord,
     dst: Coord,
     manhattan: u32,
     inject_cycle: u64,
     hops: u32,
-    abnormal: u32,
-    /// Flat `(link, vc)` buffer slot currently occupied; `NONE` at source.
+    /// Buffer currently occupied, as `link * 4 + vc`; `NONE` at source.
     buffer: u32,
     state: MsgState,
     /// Remaining abnormal walk while circumnavigating a region.
     detour: Option<(Vec<Coord>, usize)>,
 }
 
-/// Port of `to` through which a message arriving from `from` enters.
-fn arrival_port(from: Coord, to: Coord) -> usize {
+/// Id of the directed link from `from` into its 4-neighbor `to`. Each
+/// direction of travel has its own plane of ids, numbered along that
+/// direction (row-major for horizontal links, column-major for vertical
+/// ones), so a message's successive hops touch neighbouring link words.
+fn link_id(mesh: &Mesh2D, from: Coord, to: Coord) -> usize {
+    let (w, h) = (mesh.width() as usize, mesh.height() as usize);
+    let (x, y) = (to.x as usize, to.y as usize);
     match (to.x - from.x, to.y - from.y) {
-        (1, 0) => 0,  // west port
-        (-1, 0) => 1, // east port
-        (0, 1) => 2,  // south port
-        (0, -1) => 3, // north port
+        (1, 0) => y * w + x,            // eastward, into the west port
+        (-1, 0) => (h + y) * w + x,     // westward, into the east port
+        (0, 1) => (2 * w + x) * h + y,  // northward, into the south port
+        (0, -1) => (3 * w + x) * h + y, // southward, into the north port
         _ => unreachable!("links connect 4-neighbors"),
     }
 }
@@ -139,11 +205,11 @@ pub fn simulate(
         }
         msgs.push(Msg {
             current: src,
+            next: src,
             dst,
             manhattan: src.manhattan(dst),
             inject_cycle: (i / rate) as u64,
             hops: 0,
-            abnormal: 0,
             buffer: NONE,
             state: MsgState::AtSource,
             detour: None,
@@ -154,12 +220,13 @@ pub fn simulate(
     // ---- network state --------------------------------------------------
     let nodes = mesh.node_count();
     let links = nodes * 4;
-    let cap = cfg.vc_capacity.max(1) as u8;
-    let mut occupancy = vec![0u8; links * 4];
-    let mut req_first = vec![NONE; links * 4];
-    let mut req_mask = vec![0u8; links];
-    let mut rr = vec![3u8; links];
-    let mut touched: Vec<usize> = Vec::new();
+    assert!(
+        links <= 1 << (64 - SLOT_SHIFT),
+        "{links} links exceed the packed slot index"
+    );
+    let cap = u64::from(cfg.vc_capacity.max(1));
+    let mut words = vec![0u64; links];
+    let mut slots: Vec<Slot> = Vec::new();
     let mut vc_now = [0u64; 4];
     let mut vc_occ: [VcOccupancy; 4] = Default::default();
 
@@ -179,30 +246,36 @@ pub fn simulate(
 
     let mut lat_hist = mocp_obs::LocalHistogram::new(mocp_obs::histogram!("traffic.latency"));
 
-    // Desired next hop of a live message; computes and caches a detour walk
-    // when the base hop is blocked. `None` drops the message as unreachable.
-    let desired = |msg: &mut Msg, detours: &mut u64| -> Option<Coord> {
-        if let Some((walk, at)) = &msg.detour {
-            return Some(walk[*at]);
-        }
-        let next = ecube_next_hop(msg.current, msg.dst).expect("not yet at destination");
-        if router.enabled(next) {
-            return Some(next);
-        }
+    // Picks a live message's next hop and returns the `(link, vc)` it
+    // requests; computes and caches a detour walk when the base hop is
+    // blocked. `None` drops the message as unreachable.
+    let plan = |msg: &mut Msg, detours: &mut u64| -> Option<(usize, usize)> {
         let class = MessageClass::classify(msg.current, msg.dst).expect("not yet at destination");
-        let region = router
-            .blocking_region(next)
-            .expect("blocked hop lies in an excluded region");
-        match router.detour(region, msg.current, msg.dst, class) {
-            Ok((walk, _fallback)) => {
-                *detours += 1;
-                let first = walk[1];
-                msg.detour = Some((walk, 1));
-                Some(first)
+        let next = if let Some((walk, at)) = &msg.detour {
+            walk[*at]
+        } else {
+            let next = ecube_next_hop(msg.current, msg.dst).expect("not yet at destination");
+            if router.enabled(next) {
+                next
+            } else {
+                let region = router
+                    .blocking_region(next)
+                    .expect("blocked hop lies in an excluded region");
+                match router.detour(region, msg.current, msg.dst, class) {
+                    Ok((walk, _fallback)) => {
+                        *detours += 1;
+                        let first = walk[1];
+                        msg.detour = Some((walk, 1));
+                        first
+                    }
+                    Err(RouteError::Unreachable) => return None,
+                    Err(_) => unreachable!("endpoints were checked at injection"),
+                }
             }
-            Err(RouteError::Unreachable) => None,
-            Err(_) => unreachable!("endpoints were checked at injection"),
-        }
+        };
+        msg.next = next;
+        let link = link_id(mesh, msg.current, next);
+        Some((link, class.virtual_channel().0 as usize))
     };
 
     for cycle in 0..horizon {
@@ -229,25 +302,11 @@ pub fn simulate(
             if msg.state != MsgState::InNet {
                 continue;
             }
-            match desired(msg, &mut report.detours) {
-                Some(next) => {
-                    let link = mesh.index_of(next) * 4 + arrival_port(msg.current, next);
-                    let vc = MessageClass::classify(msg.current, msg.dst)
-                        .expect("in-flight message")
-                        .virtual_channel()
-                        .0 as usize;
-                    if req_mask[link] == 0 {
-                        touched.push(link);
-                    }
-                    if req_first[link * 4 + vc] == NONE {
-                        req_first[link * 4 + vc] = id;
-                        req_mask[link] |= 1 << vc;
-                    }
-                }
+            match plan(msg, &mut report.detours) {
+                Some((link, vc)) => request(&mut words, &mut slots, link, vc, id),
                 None => {
                     // Walled off mid-flight: drop and free the buffer slot.
-                    occupancy[msg.buffer as usize] -= 1;
-                    vc_now[(msg.buffer & 3) as usize] -= 1;
+                    vacate(&mut words, &mut vc_now, msg.buffer);
                     msg.state = MsgState::Dropped;
                     report.unreachable += 1;
                     done += 1;
@@ -261,20 +320,9 @@ pub fn simulate(
                     break;
                 }
                 let msg = &mut msgs[head as usize];
-                match desired(msg, &mut report.detours) {
-                    Some(next) => {
-                        let link = mesh.index_of(next) * 4 + arrival_port(msg.current, next);
-                        let vc = MessageClass::classify(msg.current, msg.dst)
-                            .expect("at source, not yet delivered")
-                            .virtual_channel()
-                            .0 as usize;
-                        if req_mask[link] == 0 {
-                            touched.push(link);
-                        }
-                        if req_first[link * 4 + vc] == NONE {
-                            req_first[link * 4 + vc] = head;
-                            req_mask[link] |= 1 << vc;
-                        }
+                match plan(msg, &mut report.detours) {
+                    Some((link, vc)) => {
+                        request(&mut words, &mut slots, link, vc, head);
                         break;
                     }
                     None => {
@@ -291,28 +339,30 @@ pub fn simulate(
         }
 
         // -- grant + move: one packet per link, round-robin over channels.
-        for &link in &touched {
-            let mask = req_mask[link];
-            for k in 1..=4u8 {
-                let vc = ((rr[link] + k) & 3) as usize;
-                if mask & (1 << vc) == 0 {
-                    continue;
-                }
-                let id = req_first[link * 4 + vc];
+        for slot in &slots {
+            let link = slot.link as usize;
+            let word = words[link];
+            let mask = word >> MASK_SHIFT & 0xF;
+            let start = word >> NEXT_VC_SHIFT & 3;
+            let mut occupancy = word & OCCUPANCY;
+            let mut next_vc = start;
+            // Requesting channels, rotated so the round-robin start is bit 0.
+            let mut pending = ((mask | mask << 4) >> start) & 0xF;
+            while pending != 0 {
+                let vc = ((start + u64::from(pending.trailing_zeros())) & 3) as usize;
+                pending &= pending - 1;
+                let id = slot.first[vc];
                 let msg = &mut msgs[id as usize];
-                let next = match &msg.detour {
-                    Some((walk, at)) => walk[*at],
-                    None => ecube_next_hop(msg.current, msg.dst).expect("granted message moves"),
-                };
-                let delivering = next == msg.dst;
-                if !delivering && occupancy[link * 4 + vc] >= cap {
+                let delivering = msg.next == msg.dst;
+                if !delivering && occupancy >> (8 * vc) & 0xFF >= cap {
                     continue; // buffer full: offer the link to the next channel
                 }
-                rr[link] = vc as u8;
-                // Free the slot (or source-queue head) being vacated.
+                next_vc = (vc as u64 + 1) & 3;
+                // Free the buffer (or source-queue head) being vacated. The
+                // buffer sits on the link into `current`, never this one, so
+                // the local `occupancy` copy stays exact.
                 if msg.buffer != NONE {
-                    occupancy[msg.buffer as usize] -= 1;
-                    vc_now[(msg.buffer & 3) as usize] -= 1;
+                    vacate(&mut words, &mut vc_now, msg.buffer);
                 } else {
                     let node = mesh.index_of(msg.current);
                     q_head[node] = q_next[id as usize];
@@ -323,11 +373,10 @@ pub fn simulate(
                     active.push(id);
                 }
                 // Advance one link.
-                msg.current = next;
+                msg.current = msg.next;
                 msg.hops += 1;
                 report.total_hops += 1;
                 if let Some((walk, at)) = &mut msg.detour {
-                    msg.abnormal += 1;
                     report.abnormal_hops += 1;
                     *at += 1;
                     if *at == walk.len() {
@@ -344,17 +393,15 @@ pub fn simulate(
                     stretch_sum += msg.hops as f64 / msg.manhattan.max(1) as f64;
                 } else {
                     msg.buffer = (link * 4 + vc) as u32;
-                    occupancy[link * 4 + vc] += 1;
+                    occupancy += 1 << (8 * vc);
                     vc_now[vc] += 1;
                 }
                 break;
             }
-            req_mask[link] = 0;
-            for vc in 0..4 {
-                req_first[link * 4 + vc] = NONE;
-            }
+            // Clears the request mask and slot index for the next cycle.
+            words[link] = occupancy | next_vc << NEXT_VC_SHIFT;
         }
-        touched.clear();
+        slots.clear();
 
         // -- sample per-VC occupancy, compact the live sets.
         for (vc, occ) in vc_occ.iter_mut().enumerate() {
