@@ -35,7 +35,7 @@
 //!   real scaling table;
 //! * `serve_chaos_recovery` — the seeded chaos harness
 //!   (`experiments::run_chaos_workload`): the tenant streams ingested
-//!   through scheduled worker kills, WAL replay, supervision and lossy
+//!   through scheduled batch panics, in-place rebuilds and lossy
 //!   live-reroute subscribers, verified against the sequential oracle —
 //!   the price of recovery, measured. Like the serve workload, timed
 //!   once (the service owns its threads).
@@ -563,8 +563,8 @@ fn main() {
         ));
     }
 
-    // Workload 7: the chaos harness — ingestion through seeded worker
-    // kills, WAL replay and subscriber gap recovery, verified against
+    // Workload 7: the chaos harness — ingestion through seeded batch
+    // panics, in-place rebuilds and subscriber gap recovery, verified against
     // sequential replay. The service owns its threads (first pool entry
     // only), and every run must converge or the report aborts.
     {

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Every run ingests the seeded tenant streams while the derived fault
-//! plan kills workers (cleanly and mid-apply) underneath, with lossy
+//! plan panics batches (before and mid-apply) underneath, with lossy
 //! live-reroute subscribers attached. `--verify` (implied by the harness,
 //! the flag exists for CI symmetry with `serve_workload`) exits non-zero
 //! unless every tenant converged back to the sequential-replay oracle and
@@ -27,8 +27,8 @@ fn usage() -> ! {
          [--mid-fraction F] [--subscribers S] [--capacity C] [--pairs P] [--batch B] \
          [--mesh SIDE] [--seed S] [--ingest-threads N] [--workers N] [--metrics]\n\
          Runs the seeded workload against a service armed with a derived fault\n\
-         plan: workers are killed at reproducible points, batches are replayed\n\
-         from the WAL, and gap-recovering subscribers resync through drops.\n\
+         plan: batches panic at reproducible points, their workers rebuild the\n\
+         tenants in place, and gap-recovering subscribers resync through drops.\n\
          The run exits non-zero on any divergence from the sequential oracle.\n\
          --quick shrinks everything to CI size; --metrics dumps the mocp_obs\n\
          registry (build with --features obs)."
@@ -108,13 +108,13 @@ fn main() {
     let elapsed = start.elapsed();
 
     println!(
-        "applied {} events across {} tenants in {:.3}s through {} worker kills \
-         ({} restarts, {} WAL events replayed)",
+        "applied {} events across {} tenants in {:.3}s through {} batch panics \
+         ({} rebuilt in place, {} events replayed)",
         outcome.events_submitted,
         outcome.tenants,
         elapsed.as_secs_f64(),
         outcome.kills_fired,
-        outcome.restarts,
+        outcome.panicked_workers,
         outcome.replayed_events,
     );
     println!(

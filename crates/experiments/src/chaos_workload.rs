@@ -1,19 +1,19 @@
 //! Seeded chaos harness over the full fault-tolerant stack.
 //!
-//! Reuses the deterministic tenant streams of [`serve_workload`] but runs
-//! them against a [`MonitorService`] armed with a seeded
-//! [`ChaosPlan`](mocp_serve::ChaosPlan): workers are killed (cleanly and
-//! mid-apply) at reproducible dequeue counts while a subset of tenants is
-//! tracked by gap-recovering [`LiveReroute`] subscribers over deliberately
-//! tiny buffers — so every run exercises WAL replay, supervision,
-//! quarantine-and-rebuild, *and* subscriber gap resynchronization at once.
+//! Reuses the deterministic tenant streams of
+//! [`serve_workload`](crate::serve_workload) but runs them against a
+//! [`MonitorService`] armed with a seeded [`ChaosPlan`]: batches panic
+//! (before and mid-apply) at reproducible dequeue counts while a subset
+//! of tenants is tracked by gap-recovering [`LiveReroute`] subscribers
+//! over deliberately tiny buffers — so every run exercises quarantine,
+//! in-place rebuilds *and* subscriber gap resynchronization at once.
 //!
 //! The harness then asserts the whole story end to end:
 //!
-//! * every tenant returns to [`TenantHealth::Live`];
+//! * every tenant is [`TenantHealth::Live`] once the service quiesces;
 //! * every tenant's served state equals a **sequential replay** of its
-//!   stream ([`replay_tenant`]) — the same ground truth the fault-free
-//!   workload pins, now across injected worker deaths;
+//!   stream ([`replay_tenant`](crate::replay_tenant)) — the same ground truth the fault-free
+//!   workload pins, now across injected batch panics;
 //! * every live route index equals **from-scratch routing** over the
 //!   tenant's final status map, despite dropped updates and recovery
 //!   rewinds.
@@ -21,12 +21,11 @@
 //! [`run_chaos_workload`] powers the `serve_chaos` binary, the CI smoke
 //! run, and the root property test that sweeps random fault plans.
 
-use std::time::{Duration, Instant};
-
 use mesh2d::Mesh2D;
 use meshroute::PairSample;
 use mocp_serve::{
-    ChaosPlan, MonitorService, ServeConfig, ServiceStatsSnapshot, TenantHealth, TenantId,
+    ChaosPlan, MonitorService, RetryPolicy, ServeConfig, ServiceStatsSnapshot, TenantHealth,
+    TenantId,
 };
 use mocp_traffic::LiveReroute;
 
@@ -39,9 +38,9 @@ pub struct ChaosWorkloadConfig {
     /// The tenant streams to ingest (its `seed` also seeds the fault
     /// plan; `verify` is implied — a chaos run always verifies).
     pub workload: ServeWorkloadConfig,
-    /// Worker kills to schedule.
+    /// Batch panics to schedule.
     pub kills: usize,
-    /// Probability that a kill strikes mid-apply (vs cleanly).
+    /// Probability that a kill strikes mid-apply (vs before the apply).
     pub mid_fraction: f64,
     /// The first `subscribers` tenants get a [`LiveReroute`] subscriber.
     pub subscribers: usize,
@@ -131,19 +130,17 @@ pub struct ChaosOutcome {
     pub tenants: usize,
     /// Events submitted (all of them applied — the run quiesces).
     pub events_submitted: u64,
-    /// Worker kills that actually fired.
+    /// Batch panics that actually fired.
     pub kills_fired: u64,
-    /// Workers that died panicking, per the shutdown report.
+    /// Batch panics the workers absorbed, per the shutdown report.
     pub panicked_workers: u64,
-    /// Supervisor respawns.
-    pub restarts: u64,
-    /// Events re-applied from the WAL during recovery.
+    /// Events re-applied by in-place rebuilds.
     pub replayed_events: u64,
     /// `seq` gaps detected across all live subscribers.
     pub subscriber_gaps: u64,
     /// Snapshot resynchronizations across all live subscribers.
     pub subscriber_resyncs: u64,
-    /// Tenants not back to `Live` within the convergence deadline.
+    /// Tenants not `Live` after the quiesce.
     pub unhealthy_tenants: usize,
     /// Tenants whose served state diverged from sequential replay.
     pub mismatched_tenants: usize,
@@ -167,9 +164,9 @@ impl ChaosOutcome {
 /// Runs the chaos workload: starts a service armed with
 /// [`ChaosWorkloadConfig::plan`], attaches the lossy subscribers,
 /// ingests every tenant stream (partitioned over the ingest threads,
-/// per-tenant order preserved) while the plan kills workers underneath,
-/// quiesces, waits for every tenant to report `Live`, then verifies
-/// tenants against sequential replay and subscribers against from-scratch
+/// per-tenant order preserved) while the plan panics batches underneath,
+/// quiesces, then checks that every tenant is `Live`, verifies tenants
+/// against sequential replay and subscribers against from-scratch
 /// routing.
 ///
 /// Subscribers deliberately do **not** pump during ingestion: with tiny
@@ -202,13 +199,14 @@ pub fn run_chaos_workload(cfg: &ChaosWorkloadConfig, serve: ServeConfig) -> Chao
             .map(|slot| {
                 let service = &service;
                 s.spawn(move |_| {
+                    let policy = RetryPolicy::unbounded();
                     let mut events = 0u64;
                     for t in (slot..w.tenants).step_by(threads) {
                         let tenant = t as TenantId;
                         for batch in tenant_events(&w, tenant).chunks(w.batch_size.max(1)) {
                             events += batch.len() as u64;
                             service
-                                .submit(tenant, batch.to_vec())
+                                .ingest(tenant, batch.to_vec(), &policy)
                                 .expect("service survives its own kills");
                         }
                     }
@@ -224,15 +222,6 @@ pub fn run_chaos_workload(cfg: &ChaosWorkloadConfig, serve: ServeConfig) -> Chao
     .expect("scope itself cannot fail");
     service.quiesce();
 
-    // Quiesce means "every event applied"; the supervisor's Degraded →
-    // Live flip for lag-free tenants can trail it by a beat.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let all_live = |service: &MonitorService| {
-        (0..w.tenants).all(|t| service.health(t as TenantId) == Some(TenantHealth::Live))
-    };
-    while !all_live(&service) && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_micros(500));
-    }
     let unhealthy_tenants = (0..w.tenants)
         .filter(|&t| service.health(t as TenantId) != Some(TenantHealth::Live))
         .count();
@@ -263,7 +252,6 @@ pub fn run_chaos_workload(cfg: &ChaosWorkloadConfig, serve: ServeConfig) -> Chao
         events_submitted,
         kills_fired,
         panicked_workers: report.panicked_workers,
-        restarts: report.supervisor_restarts,
         replayed_events: report.replayed_events,
         subscriber_gaps,
         subscriber_resyncs,

@@ -22,7 +22,7 @@
 use faultgen::{FaultDistribution, FaultInjector};
 use mesh2d::{Coord, FaultEvent, Mesh2D};
 use mocp_incremental::IncrementalEngine;
-use mocp_serve::{MonitorService, ServeConfig, ServiceStatsSnapshot, TenantId};
+use mocp_serve::{MonitorService, RetryPolicy, ServeConfig, ServiceStatsSnapshot, TenantId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -278,6 +278,7 @@ fn ingest_slot(
 ) -> (u64, u64) {
     let mut events = 0u64;
     let mut queries = 0u64;
+    let policy = RetryPolicy::unbounded();
     for t in (slot..cfg.tenants).step_by(threads) {
         let tenant = t as TenantId;
         let stream = tenant_events(cfg, tenant);
@@ -286,7 +287,7 @@ fn ingest_slot(
         for batch in stream.chunks(cfg.batch_size.max(1)) {
             events += batch.len() as u64;
             service
-                .submit(tenant, batch.to_vec())
+                .ingest(tenant, batch.to_vec(), &policy)
                 .expect("tenants exist and the service is running");
             if let Some(&c) = next_query.next() {
                 queries += issue_query(service, tenant, c, queries);

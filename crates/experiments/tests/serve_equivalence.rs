@@ -12,7 +12,7 @@
 //! ingest/worker thread counts explicitly.
 
 use experiments::{replay_tenant, run_serve_workload, tenant_queries, ServeWorkloadConfig};
-use mocp_serve::{MonitorService, ServeConfig, TenantId};
+use mocp_serve::{MonitorService, RetryPolicy, ServeConfig, TenantId};
 
 fn workload(ingest_threads: usize) -> ServeWorkloadConfig {
     ServeWorkloadConfig::quick()
@@ -77,7 +77,9 @@ fn per_node_state_matches_replay_under_concurrent_noise() {
                 for t in (slot..cfg.tenants).step_by(cfg.ingest_threads) {
                     let events = experiments::tenant_events(cfg, t as TenantId);
                     for batch in events.chunks(cfg.batch_size) {
-                        service.submit(t as TenantId, batch.to_vec()).unwrap();
+                        service
+                            .ingest(t as TenantId, batch.to_vec(), &RetryPolicy::unbounded())
+                            .unwrap();
                     }
                 }
             });
@@ -151,7 +153,9 @@ fn repeated_runs_are_identical() {
                     for t in (slot..cfg.tenants).step_by(cfg.ingest_threads) {
                         let events = experiments::tenant_events(cfg, t as TenantId);
                         for batch in events.chunks(cfg.batch_size) {
-                            service.submit(t as TenantId, batch.to_vec()).unwrap();
+                            service
+                                .ingest(t as TenantId, batch.to_vec(), &RetryPolicy::unbounded())
+                                .unwrap();
                         }
                     }
                 });

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the service.
 //!
-//! A [`ChaosPlan`] is armed at [`MonitorService::start_with_chaos`]
-//! (crate::MonitorService::start_with_chaos) and drives faults from
+//! A [`ChaosPlan`] is armed at
+//! [`MonitorService::start_with_chaos`](crate::MonitorService::start_with_chaos)
+//! and drives faults from
 //! *inside* the workers at exactly reproducible points: the plan speaks
 //! in terms of the global dequeue counter (the `n`-th batch any worker
 //! pulls off its queue), so a fixed plan plus a fixed workload yields
@@ -14,11 +15,11 @@
 //! * the *intake gate* stalls every worker right before it processes a
 //!   batch — hold it to saturate the bounded queues and force
 //!   `IngestError::Saturated`, release it to drain;
-//! * the *recovery gate* stalls the supervisor right before it recovers
-//!   a death — hold it to observe `Degraded`/`Rebuilding` health and
-//!   snapshot-served queries for as long as the test needs.
+//! * the *recovery gate* parks a worker that caught a batch panic right
+//!   before it rebuilds the tenant — hold it to observe `Rebuilding`
+//!   health and snapshot-served queries for as long as the test needs.
 //!
-//! Injected worker panics carry the [`CHAOS_PANIC`] marker in their
+//! Injected batch panics carry the [`CHAOS_PANIC`] marker in their
 //! payload; [`install_quiet_panic_hook`] keeps them out of test output
 //! while letting genuine panics print as usual.
 
@@ -28,38 +29,40 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Panic-message marker of a chaos-injected worker kill.
+/// Panic-message marker of a chaos-injected batch panic.
 pub const CHAOS_PANIC: &str = "chaos-injected";
 
-/// How a [`KillSpec`] takes its worker down.
+/// Where a [`KillSpec`] makes its batch panic. Either way the worker
+/// catches the panic, waits out the recovery gate, and rebuilds the
+/// tenant from its committed fault set plus the batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KillMode {
     /// The worker panics after dequeuing a batch but before touching the
-    /// tenant — the batch is lost from the queue, the engine stays
-    /// coherent (`Degraded`), and WAL replay must re-supply the batch.
+    /// tenant — the engine stays coherent and the tenant `Live`, serving
+    /// exact reads while the worker is parked at the recovery gate.
     Clean,
     /// The worker panics *inside* the apply, after `after_events` of the
     /// batch's events have mutated the engine. The tenant is caught
-    /// mid-flight (`Rebuilding`, shard lock poisoned) and must be fully
-    /// rebuilt from checkpoint + WAL replay.
+    /// mid-flight (`Rebuilding`, shard lock poisoned) and serves its last
+    /// coherent snapshot until the rebuild.
     MidApply {
         /// Events of the fatal batch applied before the panic.
         after_events: usize,
     },
 }
 
-/// One scheduled worker kill: fires on the first batch dequeued at or
+/// One scheduled batch panic: fires on the first batch dequeued at or
 /// after the `after_batches`-th global dequeue. Each spec fires at most
 /// once.
 #[derive(Clone, Copy, Debug)]
 pub struct KillSpec {
     /// Global dequeue count (across all workers) that arms this kill.
     pub after_batches: u64,
-    /// How the worker dies.
+    /// Where the batch panics.
     pub mode: KillMode,
 }
 
-/// A seeded schedule of worker kills.
+/// A seeded schedule of batch panics.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosPlan {
     /// The scheduled kills, in no particular order.
@@ -73,7 +76,7 @@ impl ChaosPlan {
         ChaosPlan { kills: Vec::new() }
     }
 
-    /// A deterministic plan derived from `seed`: `kills` worker kills at
+    /// A deterministic plan derived from `seed`: `kills` batch panics at
     /// dequeue counts spread over `(0, max_batch]`, each mid-apply with
     /// probability `mid_fraction` (panicking after 0..4 events of the
     /// fatal batch), clean otherwise.
@@ -96,9 +99,8 @@ impl ChaosPlan {
     }
 }
 
-/// A barrier a test can close and open: workers (or the supervisor)
-/// entering a closed gate block until it opens or the service shuts
-/// down.
+/// A barrier a test can close and open: workers entering a closed gate
+/// block until it opens or the service shuts down.
 #[derive(Default)]
 struct Gate {
     closed: Mutex<bool>,
@@ -134,7 +136,7 @@ impl Gate {
 
 /// The live fault-injection surface of a chaos-started service, shared
 /// between the test (holding/releasing gates, reading counters) and the
-/// workers/supervisor (consulting the plan).
+/// workers (consulting the plan).
 pub struct ChaosControl {
     enabled: bool,
     batches: AtomicU64,
@@ -179,9 +181,10 @@ impl ChaosControl {
         self.intake.release();
     }
 
-    /// Closes the recovery gate: the supervisor blocks before recovering
-    /// the next worker death, freezing `Degraded`/`Rebuilding` states
-    /// for observation.
+    /// Closes the recovery gate: a worker that catches a batch panic
+    /// parks before rebuilding the tenant, freezing its `Rebuilding`
+    /// state for observation. The parked worker's other tenants keep
+    /// serving exact reads; their queued batches wait.
     pub fn hold_recovery(&self) {
         self.recovery.hold();
     }
@@ -191,7 +194,7 @@ impl ChaosControl {
         self.recovery.release();
     }
 
-    /// Worker kills fired so far.
+    /// Batch panics fired so far.
     pub fn kills_fired(&self) -> u64 {
         self.kills_fired.load(Ordering::SeqCst)
     }
@@ -218,7 +221,8 @@ impl ChaosControl {
         Some(kill.mode)
     }
 
-    /// Called by the supervisor before recovering a death.
+    /// Called by a worker that caught a batch panic, before it rebuilds
+    /// the tenant.
     pub(crate) fn wait_recovery_gate(&self, shutting_down: &std::sync::atomic::AtomicBool) {
         self.recovery.wait(shutting_down);
     }
@@ -232,7 +236,7 @@ impl ChaosControl {
 }
 
 /// Installs a process-wide panic hook that suppresses chaos-injected
-/// worker panics (payloads containing [`CHAOS_PANIC`]) and defers to the
+/// batch panics (payloads containing [`CHAOS_PANIC`]) and defers to the
 /// previous hook for everything else. Idempotent enough for tests:
 /// installing it twice just nests two filters.
 pub fn install_quiet_panic_hook() {

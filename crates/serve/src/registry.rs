@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crossbeam::channel::Sender;
-use mesh2d::{Region, StatusMap};
+use mesh2d::{FaultSet, Region, StatusMap};
 use mocp_incremental::IncrementalEngine;
 
 use crate::service::{TenantId, TenantUpdate};
@@ -13,15 +13,11 @@ use crate::service::{TenantId, TenantUpdate};
 /// One tenant's serving health, surfaced through queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TenantHealth {
-    /// A live worker owns the tenant and its engine is coherent.
+    /// The engine is coherent and queries are exact.
     Live,
-    /// The tenant's worker died but the engine is coherent — queries are
-    /// exact, ingestion is paused until the supervisor restores a
-    /// worker.
-    Degraded,
-    /// The engine is mid-rebuild (the worker died inside an apply, or a
-    /// poisoned lock quarantined the tenant). Queries are served from
-    /// the last coherent snapshot until WAL replay completes.
+    /// A batch panicked inside its apply and the engine is half-applied.
+    /// Queries are served from the last coherent snapshot until the
+    /// worker has rebuilt the engine from the committed fault set.
     Rebuilding,
 }
 
@@ -61,6 +57,9 @@ impl CoherentSnapshot {
 pub(crate) struct Tenant {
     /// The per-mesh incremental MFP engine.
     pub engine: IncrementalEngine,
+    /// The fault set after the last applied batch: what a panicked
+    /// batch's rebuild starts from.
+    pub committed: FaultSet,
     /// Batches applied so far; stamped onto fan-out updates so
     /// subscribers can detect (their own) missed updates.
     pub seq: u64,
@@ -82,6 +81,7 @@ impl Tenant {
     pub fn new(engine: IncrementalEngine) -> Self {
         let snapshot = CoherentSnapshot::capture(&engine, 0, 0);
         Tenant {
+            committed: FaultSet::new(*engine.mesh()),
             engine,
             seq: 0,
             events_applied: 0,
@@ -155,21 +155,6 @@ impl ShardedRegistry {
         shard.get_mut(&tenant).map(f)
     }
 
-    /// Every registered tenant id, in no particular order.
-    pub fn ids(&self) -> Vec<TenantId> {
-        let mut ids = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            ids.extend(
-                shard
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .keys()
-                    .copied(),
-            );
-        }
-        ids
-    }
-
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
         self.tenants.load(Ordering::Relaxed)
@@ -216,9 +201,7 @@ mod tests {
         assert!(reg.insert(1, tenant(4)));
         assert!(reg.insert(2, tenant(4)));
         assert_eq!(reg.len(), 2);
-        let mut ids = reg.ids();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
+        assert!(reg.contains(1) && reg.contains(2));
     }
 
     #[test]

@@ -1,23 +1,26 @@
-//! The monitoring service: ingestion front, supervised worker threads,
-//! fan-out and point queries.
+//! The monitoring service: ingestion front, worker threads, fan-out and
+//! point queries.
 //!
-//! # Fault tolerance
+//! # Recovery
 //!
-//! Every batch is written to the per-tenant [`Wal`] *before* it is
-//! offered to a worker queue, so a worker death never loses accepted
-//! events. A dedicated supervisor thread watches for worker deaths
-//! (panics — including chaos-injected ones — are reported by a drop
-//! guard inside the worker), fences the dead worker (sender removed,
-//! epoch bumped so in-flight enqueue acknowledgements are rejected and
-//! resent), rebuilds or catches up every tenant the worker owned by WAL
-//! replay, and spawns a replacement. Queries keep working throughout:
-//! a tenant whose engine is coherent serves exact answers
-//! ([`TenantHealth::Degraded`]); a tenant caught mid-apply serves its
-//! last coherent snapshot ([`TenantHealth::Rebuilding`]) until replay
-//! completes. Poisoned locks are stripped, never propagated.
+//! A tenant's minimum faulty polygons depend only on its fault set, so a
+//! batch whose apply panicked can be redone exactly. Each tenant keeps
+//! its last committed [`FaultSet`](mesh2d::FaultSet) beside its engine,
+//! and each worker runs every dequeued batch under
+//! [`catch_unwind`](std::panic::catch_unwind). On a caught panic the
+//! worker rebuilds the tenant's engine in place from the committed fault
+//! set plus the batch it still holds. Replaying a batch over its own
+//! partial result is harmless: an inject sets a node faulty and a repair
+//! sets it healthy, whatever came before.
+//!
+//! Workers therefore never die and no accepted event is lost, so there is
+//! no supervisor, no log and no resend. A tenant caught mid-apply reports
+//! [`TenantHealth::Rebuilding`] and serves its last coherent snapshot
+//! until the rebuild completes; every other tenant keeps serving exact
+//! answers. Poisoned locks are stripped, never propagated.
 
-use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -32,8 +35,6 @@ use rand::{Rng, SeedableRng};
 use crate::chaos::{ChaosControl, ChaosPlan, KillMode, CHAOS_PANIC};
 use crate::config::ServeConfig;
 use crate::registry::{spread, CoherentSnapshot, ShardedRegistry, Tenant, TenantHealth};
-use crate::supervisor;
-use crate::wal::Wal;
 
 /// Tenant identifier: one monitored mesh per id.
 pub type TenantId = u64;
@@ -86,40 +87,14 @@ pub struct StatusSnapshot {
     pub status: StatusMap,
 }
 
-/// Why a submission was not accepted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The tenant id is not registered.
-    UnknownTenant(TenantId),
-    /// The owning worker's bounded queue is full
-    /// ([`MonitorService::try_submit`] only; [`MonitorService::submit`]
-    /// blocks instead).
-    Backpressure(TenantId),
-    /// The service is shutting down and no longer accepts events.
-    Shutdown,
-}
-
-impl fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::UnknownTenant(t) => write!(f, "unknown tenant {t}"),
-            SubmitError::Backpressure(t) => {
-                write!(f, "ingestion queue full for tenant {t}'s worker")
-            }
-            SubmitError::Shutdown => f.write_str("service is shut down"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// Why a deadline-bounded [`MonitorService::ingest`] gave up.
+/// Why [`MonitorService::ingest`] did not accept a batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IngestError {
     /// The tenant id is not registered.
     UnknownTenant(TenantId),
     /// The owning worker's queue stayed full past the retry policy's
-    /// deadline/retry budget. The batch was fully rolled back — nothing
+    /// deadline/retry budget (or its worker is gone: only a panic inside
+    /// a rebuild stops one). The batch was fully rolled back — nothing
     /// is partially enqueued, and re-ingesting the same events later is
     /// safe.
     Saturated {
@@ -128,8 +103,6 @@ pub enum IngestError {
         /// Bounded sends attempted before giving up.
         retries: u32,
     },
-    /// The service is shutting down and no longer accepts events.
-    Shutdown,
 }
 
 impl fmt::Display for IngestError {
@@ -140,7 +113,6 @@ impl fmt::Display for IngestError {
                 f,
                 "tenant {tenant}'s worker stayed saturated through {retries} bounded retries"
             ),
-            IngestError::Shutdown => f.write_str("service is shut down"),
         }
     }
 }
@@ -150,9 +122,14 @@ impl std::error::Error for IngestError {}
 /// Deadline/retry policy for [`MonitorService::ingest`]: bounded sends
 /// with decorrelated-jitter backoff, then a typed
 /// [`IngestError::Saturated`] instead of blocking forever.
+///
+/// [`unbounded`](Self::unbounded) waits as long as the queue stays full;
+/// `with_deadline(Duration::ZERO).with_max_retries(0)` never waits.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Total time budget across all attempts (default 250 ms).
+    /// Total time budget across all attempts (default 250 ms). A
+    /// deadline too far out for [`Instant`] to represent (such as
+    /// [`Duration::MAX`]) means no deadline.
     pub deadline: Duration,
     /// Bounded-send attempts after the first before giving up
     /// (default 8).
@@ -183,6 +160,14 @@ impl RetryPolicy {
     /// decorrelated-jitter backoff).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// No deadline and no retry limit: `ingest` waits, backing off, for
+    /// as long as the owning worker's queue stays full.
+    pub fn unbounded() -> Self {
+        Self::default()
+            .with_deadline(Duration::MAX)
+            .with_max_retries(u32::MAX)
     }
 
     /// Sets the total deadline.
@@ -218,17 +203,15 @@ impl RetryPolicy {
 
 /// What [`MonitorService::shutdown`] observed: faults survived and work
 /// replayed over the service's lifetime. Returned instead of panicking
-/// (a worker panic is the service's problem to absorb, not the
+/// (a panic inside a worker is the service's problem to absorb, not the
 /// caller's).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShutdownReport {
-    /// Worker threads that died by panic (chaos-injected or genuine).
+    /// Batch applies that panicked (chaos-injected or genuine); each was
+    /// rebuilt in place by its worker.
     pub panicked_workers: u64,
-    /// Events re-applied from the write-ahead log by recoveries
-    /// (supervisor restarts and the final shutdown sweep).
+    /// Events re-applied by those rebuilds.
     pub replayed_events: u64,
-    /// Replacement workers the supervisor spawned.
-    pub supervisor_restarts: u64,
 }
 
 /// A snapshot of the service-wide counters.
@@ -244,30 +227,27 @@ pub struct ServiceStatsSnapshot {
     pub updates_sent: u64,
     /// Updates dropped because a bounded subscriber was full.
     pub updates_dropped: u64,
-    /// Replacement workers spawned by the supervisor.
-    pub restarts: u64,
-    /// Events re-applied from the write-ahead log.
+    /// Events re-applied by in-place rebuilds after a batch panic.
     pub replayed_events: u64,
     /// Bounded ingest sends that timed out and backed off.
     pub ingest_retries: u64,
     /// Ingest calls that gave up saturated.
     pub ingest_saturated: u64,
-    /// Worker threads that died by panic.
+    /// Batch applies that panicked and were rebuilt in place.
     pub panicked_workers: u64,
 }
 
 #[derive(Default)]
-pub(crate) struct ServiceStats {
-    pub batches: AtomicU64,
-    pub events: AtomicU64,
-    pub queries: AtomicU64,
-    pub updates_sent: AtomicU64,
-    pub updates_dropped: AtomicU64,
-    pub restarts: AtomicU64,
-    pub replayed_events: AtomicU64,
-    pub ingest_retries: AtomicU64,
-    pub ingest_saturated: AtomicU64,
-    pub panicked_workers: AtomicU64,
+struct ServiceStats {
+    batches: AtomicU64,
+    events: AtomicU64,
+    queries: AtomicU64,
+    updates_sent: AtomicU64,
+    updates_dropped: AtomicU64,
+    replayed_events: AtomicU64,
+    ingest_retries: AtomicU64,
+    ingest_saturated: AtomicU64,
+    panicked_workers: AtomicU64,
 }
 
 impl ServiceStats {
@@ -278,7 +258,6 @@ impl ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
             updates_sent: self.updates_sent.load(Ordering::Relaxed),
             updates_dropped: self.updates_dropped.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
             replayed_events: self.replayed_events.load(Ordering::Relaxed),
             ingest_retries: self.ingest_retries.load(Ordering::Relaxed),
             ingest_saturated: self.ingest_saturated.load(Ordering::Relaxed),
@@ -294,7 +273,7 @@ impl ServiceStats {
 /// path. Poison is stripped: the ledger stays usable after a worker
 /// panic.
 #[derive(Default)]
-pub(crate) struct Ledger {
+struct Ledger {
     counts: Mutex<(u64, u64)>, // (submitted, applied)
     drained: Condvar,
 }
@@ -315,7 +294,7 @@ impl Ledger {
         self.drained.notify_all();
     }
 
-    pub(crate) fn add_applied(&self, n: u64) {
+    fn add_applied(&self, n: u64) {
         let mut counts = self.lock();
         counts.1 += n;
         if counts.1 >= counts.0 {
@@ -336,7 +315,10 @@ impl Ledger {
     /// Like [`wait_drained`](Self::wait_drained) with a bound: `false`
     /// when the timeout elapsed first.
     fn wait_drained_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            self.wait_drained();
+            return true;
+        };
         let mut counts = self.lock();
         while counts.1 < counts.0 {
             let now = Instant::now();
@@ -355,114 +337,75 @@ impl Ledger {
 
 /// One queued unit of ingestion: a tenant's events, applied atomically
 /// under the tenant's shard lock and fanned out as one coalesced update.
-/// Carries its WAL ticket — the tenant's absolute event and batch
-/// counts at append — so application is idempotent under resends.
-#[derive(Clone)]
-pub(crate) struct Batch {
+struct Batch {
     tenant: TenantId,
     events: Vec<FaultEvent>,
-    /// Tenant's absolute event count after this batch (WAL ticket).
-    upto: u64,
-    /// Tenant's absolute batch count after this batch (WAL ticket).
-    batch_no: u64,
 }
 
-/// A worker death noticed by its [`DeathWatch`]. Whether the death was
-/// a panic is established authoritatively when the supervisor joins the
-/// corpse.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct WorkerDeath {
-    pub worker: usize,
-}
-
-/// One worker's replaceable attachment points: the live queue sender
-/// (taken while the worker is down) and its join handle.
-#[derive(Default)]
-pub(crate) struct Slot {
-    pub sender: Mutex<Option<Sender<Batch>>>,
-    pub handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// Everything shared between the front (submitters, queries), the
-/// workers and the supervisor.
-pub(crate) struct Core {
-    pub config: ServeConfig,
-    pub registry: ShardedRegistry,
-    pub wal: Wal,
-    pub ledger: Ledger,
-    pub stats: ServiceStats,
-    pub slots: Vec<Slot>,
-    /// Per-worker fencing epochs: bumped by the supervisor before it
-    /// reads recovery specs, checked by submitters before they record
-    /// an enqueue acknowledgement (see [`Wal::mark_enqueued_if`]).
-    pub epochs: Vec<AtomicU64>,
-    pub shutting_down: AtomicBool,
-    pub deaths: Mutex<VecDeque<WorkerDeath>>,
-    pub death_signal: Condvar,
-    pub chaos: ChaosControl,
-}
-
-impl Core {
-    pub fn worker_of(&self, tenant: TenantId) -> usize {
-        (spread(tenant) % self.slots.len() as u64) as usize
-    }
-
-    fn sender_of(&self, worker: usize) -> Option<Sender<Batch>> {
-        self.slots[worker]
-            .sender
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
+/// Everything shared between the front (ingest, queries) and the
+/// workers.
+struct Core {
+    config: ServeConfig,
+    registry: ShardedRegistry,
+    ledger: Ledger,
+    stats: ServiceStats,
+    /// Set at shutdown; overrides held chaos gates.
+    shutting_down: AtomicBool,
+    chaos: ChaosControl,
 }
 
 /// The sharded multi-tenant monitoring service. See the [crate
-/// docs](crate) for the architecture and the [module
-/// docs](self) for the fault-tolerance design.
+/// docs](crate) for the architecture and for how a batch panic is
+/// absorbed.
 ///
 /// Dropping the service shuts it down: queued batches are still drained
-/// (no accepted event is lost, even across worker deaths — WAL replay
-/// covers batches that died with their worker), then the workers exit
-/// and are joined. [`shutdown`](Self::shutdown) does the same
-/// explicitly and returns what happened.
+/// (no accepted event is lost, even when a batch panics — its worker
+/// rebuilds the tenant in place), then the workers exit and are joined.
+/// [`shutdown`](Self::shutdown) does the same explicitly and returns
+/// what happened.
 pub struct MonitorService {
     core: Arc<Core>,
-    supervisor: Option<JoinHandle<()>>,
+    /// One bounded queue per worker; dropped at shutdown so the workers
+    /// drain what is queued and exit.
+    queues: Vec<Sender<Batch>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl MonitorService {
     /// Starts the service: builds the shard stripes and spawns the
-    /// ingestion workers and their supervisor.
+    /// ingestion workers.
     pub fn start(config: ServeConfig) -> MonitorService {
         Self::start_with_chaos(config, ChaosPlan::none())
     }
 
     /// Starts the service with a [`ChaosPlan`] armed: workers consult
-    /// the plan on every dequeued batch and die at the scheduled points.
-    /// With the empty plan this is exactly [`start`](Self::start) (the
-    /// gates of [`chaos`](Self::chaos) work either way).
+    /// the plan on every dequeued batch and panic at the scheduled
+    /// points. With the empty plan this is exactly [`start`](Self::start)
+    /// (the gates of [`chaos`](Self::chaos) work either way).
     pub fn start_with_chaos(config: ServeConfig, plan: ChaosPlan) -> MonitorService {
-        let workers = config.workers.max(1);
         let core = Arc::new(Core {
             config,
             registry: ShardedRegistry::new(config.shards),
-            wal: Wal::new(config.shards),
             ledger: Ledger::default(),
             stats: ServiceStats::default(),
-            slots: (0..workers).map(|_| Slot::default()).collect(),
-            epochs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             shutting_down: AtomicBool::new(false),
-            deaths: Mutex::new(VecDeque::new()),
-            death_signal: Condvar::new(),
             chaos: ChaosControl::new(plan),
         });
-        for w in 0..workers {
-            spawn_worker(&core, w);
-        }
-        let supervisor = supervisor::spawn(Arc::clone(&core));
+        let (queues, workers) = (0..config.workers.max(1))
+            .map(|w| {
+                let (tx, rx) = channel::bounded(config.queue_capacity.max(1));
+                let core = Arc::clone(&core);
+                let handle = std::thread::Builder::new()
+                    .name(format!("mocp-serve-{w}"))
+                    .spawn(move || worker_loop(&core, w, rx))
+                    .expect("worker thread spawn cannot fail");
+                (tx, handle)
+            })
+            .unzip();
         MonitorService {
             core,
-            supervisor: Some(supervisor),
+            queues,
+            workers,
         }
     }
 
@@ -481,9 +424,6 @@ impl MonitorService {
     /// centralized solution. Returns `false` (and changes nothing) when
     /// the id is already registered. Tenants are never removed.
     pub fn create_tenant(&self, tenant: TenantId, mesh: Mesh2D) -> bool {
-        // WAL entry first: a worker can touch the tenant the instant it
-        // is visible in the registry, and the WAL must already be there.
-        self.core.wal.register(tenant, mesh);
         let created = self.core.registry.insert(
             tenant,
             Tenant::new(IncrementalEngine::with_solution(
@@ -502,141 +442,17 @@ impl MonitorService {
         self.core.registry.len()
     }
 
-    /// Submits a batch of events for `tenant`, blocking while the owning
-    /// worker's queue is full (backpressure) and riding out worker
-    /// deaths (the batch is resent to the replacement worker if its
-    /// acceptance could not be confirmed). Events of one tenant are
-    /// applied in submission order as long as each tenant is fed from
-    /// one thread at a time. An empty batch is a no-op.
-    pub fn submit(&self, tenant: TenantId, events: Vec<FaultEvent>) -> Result<(), SubmitError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        if !self.core.registry.contains(tenant) {
-            return Err(SubmitError::UnknownTenant(tenant));
-        }
-        let core = &self.core;
-        let n = events.len() as u64;
-        // Submitted is bumped before the send so `applied <= submitted`
-        // holds at every instant a worker could observe the batch; the
-        // WAL append precedes the send so no accepted event can be lost.
-        core.ledger.add_submitted(n);
-        let (upto, batch_no) = core.wal.append(tenant, &events);
-        let worker = core.worker_of(tenant);
-        loop {
-            if core.shutting_down.load(Ordering::SeqCst) {
-                core.wal.retract(tenant, n);
-                core.ledger.retract_submitted(n);
-                return Err(SubmitError::Shutdown);
-            }
-            let epoch = core.epochs[worker].load(Ordering::SeqCst);
-            let Some(sender) = core.sender_of(worker) else {
-                // The worker is down and being replaced; wait it out.
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            };
-            let batch = Batch {
-                tenant,
-                events: events.clone(),
-                upto,
-                batch_no,
-            };
-            match sender.send(batch) {
-                Ok(())
-                    if core.wal.mark_enqueued_if(
-                        tenant,
-                        upto,
-                        batch_no,
-                        &core.epochs[worker],
-                        epoch,
-                    ) =>
-                {
-                    mocp_obs::counter!("serve.submitted").add(n);
-                    return Ok(());
-                }
-                // Epoch moved mid-send: the batch may sit in a dead
-                // queue, so resend to the replacement (idempotent —
-                // workers skip batches whose ticket is already applied).
-                Ok(()) => {}
-                // Queue died under us: the owning worker is being
-                // replaced.
-                Err(_) => std::thread::sleep(Duration::from_micros(200)),
-            }
-        }
-    }
-
-    /// Like [`submit`](Self::submit) but never blocks: a full worker
-    /// queue (or one fenced off for recovery) returns
-    /// [`SubmitError::Backpressure`] with the batch fully rolled back —
-    /// nothing is partially enqueued and resubmitting later is safe.
-    pub fn try_submit(&self, tenant: TenantId, events: Vec<FaultEvent>) -> Result<(), SubmitError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        if !self.core.registry.contains(tenant) {
-            return Err(SubmitError::UnknownTenant(tenant));
-        }
-        let core = &self.core;
-        let n = events.len() as u64;
-        core.ledger.add_submitted(n);
-        let (upto, batch_no) = core.wal.append(tenant, &events);
-        let worker = core.worker_of(tenant);
-        let rollback = |err| {
-            core.wal.retract(tenant, n);
-            core.ledger.retract_submitted(n);
-            Err(err)
-        };
-        let epoch = core.epochs[worker].load(Ordering::SeqCst);
-        let Some(sender) = core.sender_of(worker) else {
-            mocp_obs::counter!("serve.backpressure").inc();
-            return rollback(SubmitError::Backpressure(tenant));
-        };
-        let batch = Batch {
-            tenant,
-            events: events.clone(),
-            upto,
-            batch_no,
-        };
-        match sender.try_send(batch) {
-            Ok(())
-                if core.wal.mark_enqueued_if(
-                    tenant,
-                    upto,
-                    batch_no,
-                    &core.epochs[worker],
-                    epoch,
-                ) =>
-            {
-                mocp_obs::counter!("serve.submitted").add(n);
-                Ok(())
-            }
-            // Accepted by a queue that died mid-send: roll back (the
-            // unacknowledged batch is invisible to recovery) and report
-            // backpressure so the caller retries.
-            Ok(()) => {
-                mocp_obs::counter!("serve.backpressure").inc();
-                rollback(SubmitError::Backpressure(tenant))
-            }
-            Err(TrySendError::Full(_)) => {
-                mocp_obs::counter!("serve.backpressure").inc();
-                rollback(SubmitError::Backpressure(tenant))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                if core.shutting_down.load(Ordering::SeqCst) {
-                    rollback(SubmitError::Shutdown)
-                } else {
-                    mocp_obs::counter!("serve.backpressure").inc();
-                    rollback(SubmitError::Backpressure(tenant))
-                }
-            }
-        }
-    }
-
-    /// Deadline-bounded submission: like [`submit`](Self::submit) but a
-    /// persistently full queue makes bounded attempts with
-    /// decorrelated-jitter backoff (seeded — reproducible) and then
-    /// returns [`IngestError::Saturated`] with the batch fully rolled
-    /// back, instead of blocking forever.
+    /// Ingests a batch of events for `tenant` into the bounded queue of
+    /// the one worker that owns it — the service's only submission path.
+    /// Events of one tenant are applied in submission order as long as
+    /// each tenant is fed from one thread at a time. An empty batch is a
+    /// no-op.
+    ///
+    /// A full queue is retried under `policy`: bounded sends with
+    /// decorrelated-jitter backoff (seeded — reproducible), then
+    /// [`IngestError::Saturated`] with the batch fully rolled back.
+    /// [`RetryPolicy::unbounded`] waits instead of giving up;
+    /// `with_deadline(Duration::ZERO).with_max_retries(0)` never waits.
     pub fn ingest(
         &self,
         tenant: TenantId,
@@ -651,66 +467,36 @@ impl MonitorService {
         }
         let core = &self.core;
         let n = events.len() as u64;
+        // Submitted is bumped before the send so `applied <= submitted`
+        // holds at every instant a worker could observe the batch.
         core.ledger.add_submitted(n);
-        let (upto, batch_no) = core.wal.append(tenant, &events);
-        let worker = core.worker_of(tenant);
-        let deadline = Instant::now() + policy.deadline;
+        let queue = &self.queues[(spread(tenant) % self.queues.len() as u64) as usize];
+        let deadline = Instant::now().checked_add(policy.deadline);
         let mut rng = StdRng::seed_from_u64(policy.seed ^ spread(tenant));
         let mut wait = policy.base.max(Duration::from_nanos(1));
         let mut retries = 0u32;
-        let saturate = |retries| {
-            core.wal.retract(tenant, n);
-            core.ledger.retract_submitted(n);
-            core.stats.ingest_saturated.fetch_add(1, Ordering::Relaxed);
-            mocp_obs::counter!("serve.ingest.saturated").inc();
-            Err(IngestError::Saturated { tenant, retries })
-        };
+        let mut batch = Batch { tenant, events };
         loop {
-            if core.shutting_down.load(Ordering::SeqCst) {
-                core.wal.retract(tenant, n);
-                core.ledger.retract_submitted(n);
-                return Err(IngestError::Shutdown);
-            }
-            let epoch = core.epochs[worker].load(Ordering::SeqCst);
-            let Some(sender) = core.sender_of(worker) else {
-                // Worker down; its replacement is the supervisor's job,
-                // bounded by our own deadline.
-                if Instant::now() >= deadline {
-                    return saturate(retries);
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            };
-            let batch = Batch {
-                tenant,
-                events: events.clone(),
-                upto,
-                batch_no,
-            };
             // The backoff wait doubles as send time: waiting *inside*
             // the bounded send reacts the instant a slot opens.
-            let attempt_deadline = deadline.min(Instant::now() + wait);
-            match sender.send_deadline(batch, attempt_deadline) {
-                Ok(())
-                    if core.wal.mark_enqueued_if(
-                        tenant,
-                        upto,
-                        batch_no,
-                        &core.epochs[worker],
-                        epoch,
-                    ) =>
-                {
+            let now = Instant::now();
+            let mut attempt = now.checked_add(wait).unwrap_or(now);
+            if let Some(deadline) = deadline {
+                attempt = attempt.min(deadline);
+            }
+            match queue.send_deadline(batch, attempt) {
+                Ok(()) => {
                     mocp_obs::counter!("serve.submitted").add(n);
                     return Ok(());
                 }
-                // Worker replaced mid-send: resend (not a saturation).
-                Ok(()) => {}
-                Err(SendTimeoutError::Timeout(_)) => {
-                    retries += 1;
+                Err(SendTimeoutError::Timeout(unsent)) => {
+                    batch = unsent;
+                    retries = retries.saturating_add(1);
                     core.stats.ingest_retries.fetch_add(1, Ordering::Relaxed);
                     mocp_obs::counter!("serve.ingest.retries").inc();
-                    if retries > policy.max_retries || Instant::now() >= deadline {
-                        return saturate(retries);
+                    if retries > policy.max_retries || deadline.is_some_and(|d| Instant::now() >= d)
+                    {
+                        break;
                     }
                     // Decorrelated jitter: next wait is uniform in
                     // [base, 3·previous), clamped to the cap.
@@ -719,20 +505,23 @@ impl MonitorService {
                     let hi = prev_ns.saturating_mul(3).max(base_ns + 1);
                     wait = Duration::from_nanos(rng.gen_range(base_ns..hi)).min(policy.cap);
                 }
-                Err(SendTimeoutError::Disconnected(_)) => {
-                    if Instant::now() >= deadline {
-                        return saturate(retries);
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
+                // Workers catch batch panics and outlive the queues, so
+                // this is a worker whose rebuild itself panicked: nothing
+                // will ever drain its queue.
+                Err(SendTimeoutError::Disconnected(_)) => break,
             }
         }
+        core.ledger.retract_submitted(n);
+        core.stats.ingest_saturated.fetch_add(1, Ordering::Relaxed);
+        mocp_obs::counter!("serve.ingest.saturated").inc();
+        Err(IngestError::Saturated { tenant, retries })
     }
 
     /// Blocks until every event submitted so far has been applied. New
     /// submissions racing with the wait extend it; with submissions
-    /// stopped this is the "all queues drained" barrier. Worker deaths
-    /// extend the wait only until recovery replays the lost events.
+    /// stopped this is the "all queues drained" barrier. A panicked
+    /// batch counts as applied only once its tenant is rebuilt, so after
+    /// a quiesce every tenant is [`Live`](TenantHealth::Live).
     pub fn quiesce(&self) {
         self.core.ledger.wait_drained();
     }
@@ -860,9 +649,9 @@ impl MonitorService {
     }
 
     /// Shuts the service down: disconnects the ingestion queues, lets
-    /// the workers drain what was already queued, joins everything, and
-    /// replays whatever a late worker death left behind. Never panics —
-    /// worker panics are counted in the returned [`ShutdownReport`].
+    /// the workers drain what was already queued, and joins them. Never
+    /// panics — batch panics are counted in the returned
+    /// [`ShutdownReport`].
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shutdown_in_place()
     }
@@ -870,42 +659,21 @@ impl MonitorService {
     fn shutdown_in_place(&mut self) -> ShutdownReport {
         let core = &self.core;
         core.shutting_down.store(true, Ordering::SeqCst);
-        // Wake everyone parked on a gate or the death signal; they
-        // re-check the flag and fall through.
+        // Wake workers parked on a chaos gate; they re-check the flag
+        // and fall through.
         core.chaos.notify_shutdown();
-        core.death_signal.notify_all();
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
         // Disconnect the queues: workers drain what is queued and exit.
-        for slot in &core.slots {
-            slot.sender
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-        }
-        for slot in &core.slots {
-            let handle = slot
-                .handle
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(handle) = handle {
-                if handle.join().is_err() {
-                    core.stats.panicked_workers.fetch_add(1, Ordering::Relaxed);
-                }
+        self.queues.clear();
+        for worker in self.workers.drain(..) {
+            // Only a panic inside a rebuild gets this far.
+            if worker.join().is_err() {
+                core.stats.panicked_workers.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        // Final sweep: a death during the drain had no supervisor left
-        // to recover it — replay whatever the WAL still holds.
-        for tenant in core.registry.ids() {
-            supervisor::recover_tenant(core, tenant);
         }
         let stats = core.stats.snapshot();
         ShutdownReport {
             panicked_workers: stats.panicked_workers,
             replayed_events: stats.replayed_events,
-            supervisor_restarts: stats.restarts,
         }
     }
 
@@ -920,7 +688,7 @@ impl MonitorService {
 
 impl Drop for MonitorService {
     fn drop(&mut self) {
-        if !self.core.shutting_down.load(Ordering::SeqCst) {
+        if !self.workers.is_empty() {
             self.shutdown_in_place();
         }
     }
@@ -931,152 +699,127 @@ impl fmt::Debug for MonitorService {
         f.debug_struct("MonitorService")
             .field("config", &self.core.config)
             .field("tenants", &self.core.registry.len())
-            .field("workers", &self.core.slots.len())
+            .field("workers", &self.workers.len())
             .field("stats", &self.core.stats.snapshot())
             .finish()
     }
 }
 
-/// Spawns (or respawns) worker `w`: fresh bounded queue, thread, then
-/// the sender is published last so no batch can race the handle into
-/// the slot.
-pub(crate) fn spawn_worker(core: &Arc<Core>, w: usize) {
-    let (tx, rx) = channel::bounded::<Batch>(core.config.queue_capacity.max(1));
-    let handle = std::thread::Builder::new()
-        .name(format!("mocp-serve-{w}"))
-        .spawn({
-            let core = Arc::clone(core);
-            move || worker_loop(&core, w, rx)
-        })
-        .expect("worker thread spawn cannot fail");
-    *core.slots[w]
-        .handle
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = Some(handle);
-    *core.slots[w]
-        .sender
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = Some(tx);
-}
-
-/// Reports the enclosing worker's death to the supervisor from its
-/// `Drop` — the one hook that still runs when the worker panics.
-struct DeathWatch<'a> {
-    core: &'a Core,
-    worker: usize,
-}
-
-impl Drop for DeathWatch<'_> {
-    fn drop(&mut self) {
-        let panicked = std::thread::panicking();
-        if !panicked && self.core.shutting_down.load(Ordering::SeqCst) {
-            return; // orderly exit at shutdown, not a death
-        }
-        let mut deaths = self
-            .core
-            .deaths
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        deaths.push_back(WorkerDeath {
-            worker: self.worker,
-        });
-        drop(deaths);
-        self.core.death_signal.notify_all();
-    }
-}
-
 /// One worker: drain the queue, apply each batch under its tenant's
-/// shard lock, fan out the coalesced delta. Exits when the service
-/// disconnects the queue *and* every queued batch has been processed;
-/// a panic (chaos-injected or genuine) is reported by the
-/// [`DeathWatch`], which drops before the queue receiver.
+/// shard lock, fan out the coalesced delta. A panic inside a batch
+/// (chaos-injected or genuine) is caught here and the tenant rebuilt in
+/// place, so the worker only exits when the service disconnects the
+/// queue *and* every queued batch has been processed.
 fn worker_loop(core: &Core, worker: usize, queue: Receiver<Batch>) {
-    let _watch = DeathWatch { core, worker };
     while let Ok(batch) = queue.recv() {
-        let mut panic_after = None;
-        if let Some(mode) = core.chaos.on_dequeue(&core.shutting_down) {
-            match mode {
-                KillMode::Clean => {
-                    std::panic::panic_any(format!("{CHAOS_PANIC}: clean kill of worker {worker}"))
+        // Unwind-safe in effect: the only state a panic can leave broken
+        // is the tenant's engine, which is marked `Rebuilding` before its
+        // first mutation and replaced by `rebuild_tenant` below.
+        let applied = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut panic_after = None;
+            match core.chaos.on_dequeue(&core.shutting_down) {
+                Some(KillMode::Clean) => {
+                    panic::panic_any(format!("{CHAOS_PANIC}: clean kill in worker {worker}"))
                 }
-                KillMode::MidApply { after_events } => {
-                    // Clamp so the kill always fires inside this batch.
-                    panic_after = Some(after_events.min(batch.events.len().saturating_sub(1)));
+                // Clamp so the kill always fires inside this batch.
+                Some(KillMode::MidApply { after_events }) => {
+                    panic_after = Some(after_events.min(batch.events.len().saturating_sub(1)))
                 }
+                None => {}
             }
+            apply_batch(core, &batch, panic_after);
+        }));
+        if applied.is_err() {
+            core.stats.panicked_workers.fetch_add(1, Ordering::Relaxed);
+            core.chaos.wait_recovery_gate(&core.shutting_down);
+            rebuild_tenant(core, &batch);
         }
-        apply_batch(core, batch, panic_after);
     }
 }
 
-/// Applies one batch to its tenant under the shard lock. A duplicate
-/// resend (the WAL ticket shows the batch already applied) is skipped
-/// entirely.
+/// Applies one batch to its tenant under the shard lock.
 ///
 /// Health dips to `Rebuilding` for the duration of the mutation and
 /// back to `Live` before the lock is released: invisible in normal
 /// operation, but a panic mid-apply (chaos or genuine) leaves the
-/// quarantine marker set, so every later reader serves the snapshot
-/// instead of the half-applied engine.
-fn apply_batch(core: &Core, batch: Batch, panic_after: Option<usize>) {
+/// quarantine marker set, so readers are served the snapshot instead of
+/// the half-applied engine until the worker rebuilds the tenant.
+fn apply_batch(core: &Core, batch: &Batch, panic_after: Option<usize>) {
     let _span = mocp_obs::span!("serve.apply");
     let tenant = batch.tenant;
-    core.registry
-        .with(tenant, |state| {
-            if batch.upto <= state.events_applied {
-                // Duplicate of an applied batch (resent because the
-                // submitter's acknowledgement raced a recovery).
-                return;
+    core.registry.with(tenant, |state| {
+        state.health = TenantHealth::Rebuilding;
+        let mut delta = StatusDelta::new();
+        for (i, &event) in batch.events.iter().enumerate() {
+            if panic_after == Some(i) {
+                panic::panic_any(format!("{CHAOS_PANIC}: mid-apply kill in tenant {tenant}"));
             }
-            state.health = TenantHealth::Rebuilding;
-            let mut delta = StatusDelta::new();
-            for (i, &event) in batch.events.iter().enumerate() {
-                if panic_after == Some(i) {
-                    std::panic::panic_any(format!(
-                        "{CHAOS_PANIC}: mid-apply kill in tenant {tenant}"
-                    ));
-                }
-                delta.extend(state.engine.apply(event));
-            }
-            let n = batch.events.len() as u64;
-            state.seq = batch.batch_no;
-            state.events_applied = batch.upto;
-            // Applied mark and ledger credit inside the lock: recovery
-            // observes the engine mutation and its accounting atomically.
-            core.wal.mark_applied(
-                tenant,
-                batch.upto,
-                batch.batch_no,
-                core.config.wal_checkpoint_every,
-            );
-            if state.seq - state.snapshot.seq >= core.config.snapshot_every.max(1) {
-                state.snapshot =
-                    CoherentSnapshot::capture(&state.engine, state.seq, state.events_applied);
-            }
-            state.health = TenantHealth::Live;
-            let (sent, dropped) = fan_out(state, tenant, delta);
-            core.stats.batches.fetch_add(1, Ordering::Relaxed);
-            core.stats.events.fetch_add(n, Ordering::Relaxed);
-            core.stats.updates_sent.fetch_add(sent, Ordering::Relaxed);
-            core.stats
-                .updates_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
-            mocp_obs::counter!("serve.batches").inc();
-            mocp_obs::counter!("serve.events").add(n);
-            // Ledger credit last: when `quiesce` returns, every applied
-            // batch's update and counters are already visible.
-            core.ledger.add_applied(n);
-        })
-        // Unknown tenants cannot happen today (submit checks and tenants
-        // are never removed), but losing that race must not wedge the
-        // ledger: the batch was never marked enqueued, so nothing leaks.
-        .unwrap_or(())
+            delta.extend(state.engine.apply(event));
+        }
+        commit(core, state, &batch.events);
+        let (sent, dropped) = fan_out(state, tenant, delta);
+        core.stats.updates_sent.fetch_add(sent, Ordering::Relaxed);
+        core.stats
+            .updates_dropped
+            .fetch_add(dropped, Ordering::Relaxed);
+        // Ledger credit last: when `quiesce` returns, every applied
+        // batch's update and counters are already visible.
+        core.ledger.add_applied(batch.events.len() as u64);
+    });
+}
+
+/// Rebuilds the tenant of a batch whose apply panicked: a fresh engine
+/// fed the committed fault set, then the whole batch. Whatever the
+/// panicked apply left behind is discarded. Nothing is fanned out:
+/// subscribers see the `seq` jump as a gap and resynchronize from a
+/// status snapshot.
+fn rebuild_tenant(core: &Core, batch: &Batch) {
+    let _span = mocp_obs::span!("serve.recovery");
+    core.registry.with(batch.tenant, |state| {
+        let mut engine =
+            IncrementalEngine::with_solution(*state.committed.mesh(), core.config.solution);
+        for &c in state.committed.in_insertion_order() {
+            engine.apply(FaultEvent::Inject(c));
+        }
+        for &event in &batch.events {
+            engine.apply(event);
+        }
+        state.engine = engine;
+        commit(core, state, &batch.events);
+        state.snapshot = CoherentSnapshot::capture(&state.engine, state.seq, state.events_applied);
+        let n = batch.events.len() as u64;
+        core.stats.replayed_events.fetch_add(n, Ordering::Relaxed);
+        mocp_obs::counter!("serve.rebuilds").inc();
+        mocp_obs::counter!("serve.replayed_events").add(n);
+        core.ledger.add_applied(n);
+    });
+}
+
+/// Records an applied batch on its tenant: folds the events into the
+/// committed fault set, advances `seq` and `events_applied` by one
+/// batch, refreshes the coherent snapshot when it is due, and marks the
+/// tenant `Live`.
+fn commit(core: &Core, state: &mut Tenant, events: &[FaultEvent]) {
+    for &event in events {
+        state.committed.apply(event);
+    }
+    let n = events.len() as u64;
+    state.seq += 1;
+    state.events_applied += n;
+    if state.seq - state.snapshot.seq >= core.config.snapshot_every.max(1) {
+        state.snapshot = CoherentSnapshot::capture(&state.engine, state.seq, state.events_applied);
+    }
+    state.health = TenantHealth::Live;
+    core.stats.batches.fetch_add(1, Ordering::Relaxed);
+    core.stats.events.fetch_add(n, Ordering::Relaxed);
+    mocp_obs::counter!("serve.batches").inc();
+    mocp_obs::counter!("serve.events").add(n);
 }
 
 /// Delivers one batch's coalesced delta to the tenant's subscribers.
 /// Returns `(updates sent, updates dropped)`; disconnected subscribers
 /// are unregistered.
-pub(crate) fn fan_out(state: &mut Tenant, tenant: TenantId, delta: StatusDelta) -> (u64, u64) {
+fn fan_out(state: &mut Tenant, tenant: TenantId, delta: StatusDelta) -> (u64, u64) {
     if state.subscribers.is_empty() {
         return (0, 0);
     }
@@ -1112,4 +855,20 @@ pub(crate) fn fan_out(state: &mut Tenant, tenant: TenantId, delta: StatusDelta) 
         mocp_obs::counter!("serve.fanout_dropped").add(dropped);
     }
     (sent, dropped)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ingest_with_an_unrepresentable_deadline_means_no_deadline() {
+        let service = MonitorService::start(ServeConfig::default().with_workers(1));
+        assert!(service.create_tenant(1, Mesh2D::square(8)));
+        let event = vec![FaultEvent::Inject(Coord::new(2, 2))];
+        let forever = RetryPolicy::default().with_deadline(Duration::MAX);
+        assert_eq!(service.ingest(1, event, &forever), Ok(()));
+        assert!(service.quiesce_timeout(Duration::MAX));
+        assert_eq!(service.counts(1).unwrap().faulty, 1);
+    }
 }

@@ -1,5 +1,5 @@
-//! Fault-tolerance integration tests: supervised recovery from worker
-//! kills, WAL replay equivalence, degraded reads, saturation, and the
+//! Fault-tolerance integration tests: in-place rebuilds after batch
+//! panics, replay equivalence, snapshot-served reads, saturation, and the
 //! structured shutdown report.
 
 use std::time::{Duration, Instant};
@@ -18,6 +18,19 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_micros(200));
     }
+}
+
+/// Ingests one batch, waiting as long as the owning queue stays full.
+fn ingest(service: &MonitorService, tenant: u64, events: Vec<FaultEvent>) {
+    service
+        .ingest(tenant, events, &RetryPolicy::unbounded())
+        .unwrap();
+}
+
+fn all_live(service: &MonitorService, tenants: &[u64]) -> bool {
+    tenants
+        .iter()
+        .all(|&t| service.health(t) == Some(TenantHealth::Live))
 }
 
 /// Sequential ground truth: a fresh engine fed the same events in order.
@@ -85,30 +98,33 @@ fn clean_worker_kill_recovers_to_sequential_equivalence() {
             FaultEvent::Repair(Coord::new(2 + i, 3)),
         ]);
     }
-    // Two batches per tenant; the third dequeued batch kills the worker.
+    // Two batches per tenant; the third dequeued batch panics before it
+    // touches its tenant.
     for (i, &t) in tenants.iter().enumerate() {
-        service.submit(t, streams[i][..2].to_vec()).unwrap();
+        ingest(&service, t, streams[i][..2].to_vec());
     }
     for (i, &t) in tenants.iter().enumerate() {
-        service.submit(t, streams[i][2..].to_vec()).unwrap();
+        ingest(&service, t, streams[i][2..].to_vec());
     }
     service.quiesce();
-    assert!(service.chaos().kills_fired() >= 1, "the kill fired");
-    // Recovery credits the ledger per tenant, so quiesce can return a
-    // beat before the supervisor finishes the restart bookkeeping.
-    wait_until("all tenants live", || {
-        tenants
-            .iter()
-            .all(|&t| service.health(t) == Some(TenantHealth::Live))
-    });
+    assert!(
+        all_live(&service, &tenants),
+        "quiesce means every tenant is live"
+    );
     for (stream, &t) in streams.iter().zip(&tenants) {
         assert_matches_replay(&service, t, mesh, stream);
     }
-    wait_until("replacement worker", || service.stats().restarts == 1);
-    assert_eq!(service.stats().panicked_workers, 1);
+    let kills = service.chaos().kills_fired();
+    assert_eq!(kills, 1, "the kill fired");
+    let stats = service.stats();
+    assert_eq!(stats.panicked_workers, kills);
+    assert!(
+        stats.replayed_events >= 1,
+        "the panicked batch was replayed"
+    );
     let report = service.shutdown();
-    assert_eq!(report.panicked_workers, 1);
-    assert_eq!(report.supervisor_restarts, 1);
+    assert_eq!(report.panicked_workers, kills);
+    assert!(report.replayed_events >= 1);
 }
 
 #[test]
@@ -131,34 +147,23 @@ fn mid_apply_kill_serves_snapshot_while_rebuilding_then_recovers() {
     assert!(service.create_tenant(1, mesh));
     assert!(service.create_tenant(2, mesh));
 
-    // Freeze the supervisor before recovery so the degraded states stay
+    // Park the worker at the recovery gate so the rebuilding state stays
     // observable for as long as this test needs.
     service.chaos().hold_recovery();
 
-    // Batches 1-3 apply cleanly; batch 4 (tenant 1 again) is killed
-    // after 0 of its events, leaving tenant 1 quarantined mid-apply.
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(1, 1))])
-        .unwrap();
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(2, 2))])
-        .unwrap();
-    service
-        .submit(2, vec![FaultEvent::Inject(Coord::new(5, 5))])
-        .unwrap();
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(3, 3))])
-        .unwrap();
+    // Batches 1-3 apply cleanly; batch 4 (tenant 1 again) panics after
+    // 0 of its events, leaving tenant 1 quarantined mid-apply.
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(1, 1))]);
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(2, 2))]);
+    ingest(&service, 2, vec![FaultEvent::Inject(Coord::new(5, 5))]);
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(3, 3))]);
 
     wait_until("the mid-apply kill", || service.chaos().kills_fired() >= 1);
     wait_until("tenant 1 quarantined", || {
         service.health(1) == Some(TenantHealth::Rebuilding)
     });
-    // The supervisor fences the dead worker before it parks on the held
-    // recovery gate, so the coherent co-tenant degrades.
-    wait_until("tenant 2 degraded", || {
-        service.health(2) == Some(TenantHealth::Degraded)
-    });
+    // The co-tenant on the parked worker was never touched by the panic.
+    assert_eq!(service.health(2), Some(TenantHealth::Live));
 
     // Rebuilding reads come from the last coherent snapshot: batches
     // 1-2 are visible, the killed batch 4 is not, and nothing panics on
@@ -178,15 +183,20 @@ fn mid_apply_kill_serves_snapshot_while_rebuilding_then_recovers() {
     assert!(service.region_of(1, Coord::new(1, 1)).is_some());
     let snap = service.status_snapshot(1).unwrap();
     assert_eq!((snap.seq, snap.health), (2, TenantHealth::Rebuilding));
-    // Degraded reads are exact (the engine is coherent).
+    // The co-tenant's reads are exact.
     assert_eq!(service.counts(2).unwrap().faulty, 1);
+    assert_eq!(
+        service.node_status(2, Coord::new(5, 5)),
+        Some(NodeStatus::Faulty)
+    );
+    assert_eq!(service.status_snapshot(2).unwrap().seq, 1);
 
     service.chaos().release_recovery();
     service.quiesce();
-    wait_until("tenant 1 live", || {
-        service.health(1) == Some(TenantHealth::Live)
-    });
-    assert_eq!(service.health(2), Some(TenantHealth::Live));
+    assert!(
+        all_live(&service, &[1, 2]),
+        "quiesce means every tenant is live"
+    );
     assert_matches_replay(
         &service,
         1,
@@ -199,7 +209,7 @@ fn mid_apply_kill_serves_snapshot_while_rebuilding_then_recovers() {
     );
     assert_matches_replay(&service, 2, mesh, &[FaultEvent::Inject(Coord::new(5, 5))]);
     let stats = service.stats();
-    assert!(stats.replayed_events >= 1, "WAL replayed the killed batch");
+    assert!(stats.replayed_events >= 1, "the killed batch was replayed");
     let report = service.shutdown();
     assert_eq!(report.panicked_workers, 1);
 }
@@ -268,9 +278,7 @@ fn quiesce_timeout_reports_inflight_work_without_wedging() {
     );
     assert!(service.create_tenant(1, Mesh2D::square(8)));
     service.chaos().hold_intake();
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(2, 2))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(2, 2))]);
     assert!(
         !service.quiesce_timeout(Duration::from_millis(30)),
         "gated worker cannot drain in time"
@@ -308,16 +316,15 @@ fn multiple_kills_across_workers_converge() {
     }
     for round in 0..5 {
         for (stream, &t) in streams.iter().zip(&tenants) {
-            service.submit(t, vec![stream[round]]).unwrap();
+            ingest(&service, t, vec![stream[round]]);
         }
     }
     service.quiesce();
     assert!(service.chaos().kills_fired() >= 1, "seeded kills fired");
-    wait_until("all tenants live", || {
-        tenants
-            .iter()
-            .all(|&t| service.health(t) == Some(TenantHealth::Live))
-    });
+    assert!(
+        all_live(&service, &tenants),
+        "quiesce means every tenant is live"
+    );
     for (stream, &t) in streams.iter().zip(&tenants) {
         assert_matches_replay(&service, t, mesh, stream);
     }

@@ -1,12 +1,22 @@
 //! End-to-end behaviour of [`MonitorService`]: ingestion, ordering,
 //! queries, fan-out, backpressure and shutdown semantics.
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use mesh2d::{Connectivity, Coord, FaultEvent, Mesh2D, NodeStatus};
 use mocp_incremental::IncrementalEngine;
-use mocp_serve::{MonitorService, ServeConfig, SubmitError};
+use mocp_serve::{IngestError, MonitorService, RetryPolicy, ServeConfig};
 
 fn small_config() -> ServeConfig {
     ServeConfig::default().with_shards(4).with_workers(2)
+}
+
+/// Ingests one batch, waiting as long as the owning queue stays full.
+fn ingest(service: &MonitorService, tenant: u64, events: Vec<FaultEvent>) {
+    service
+        .ingest(tenant, events, &RetryPolicy::unbounded())
+        .unwrap();
 }
 
 #[test]
@@ -25,12 +35,8 @@ fn unknown_tenants_are_rejected_everywhere() {
     let service = MonitorService::start(small_config());
     let c = Coord::new(0, 0);
     assert_eq!(
-        service.submit(9, vec![FaultEvent::Inject(c)]),
-        Err(SubmitError::UnknownTenant(9))
-    );
-    assert_eq!(
-        service.try_submit(9, vec![FaultEvent::Inject(c)]),
-        Err(SubmitError::UnknownTenant(9))
+        service.ingest(9, vec![FaultEvent::Inject(c)], &RetryPolicy::unbounded()),
+        Err(IngestError::UnknownTenant(9))
     );
     assert_eq!(service.node_status(9, c), None);
     assert_eq!(service.region_of(9, c), None);
@@ -55,7 +61,7 @@ fn queries_match_a_sequentially_fed_engine() {
     ];
     // Split across several batches; one submitting thread keeps order.
     for chunk in events.chunks(2) {
-        service.submit(5, chunk.to_vec()).unwrap();
+        ingest(&service, 5, chunk.to_vec());
     }
     service.quiesce();
 
@@ -87,23 +93,18 @@ fn subscribers_get_coalesced_updates_with_contiguous_seq() {
     let updates = service.subscribe(1, None).unwrap();
 
     // Batch 1: one injection.
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(4, 4))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(4, 4))]);
     // Batch 2: self-cancelling churn on (6, 6) — must produce NO update.
-    service
-        .submit(
-            1,
-            vec![
-                FaultEvent::Inject(Coord::new(6, 6)),
-                FaultEvent::Repair(Coord::new(6, 6)),
-            ],
-        )
-        .unwrap();
+    ingest(
+        &service,
+        1,
+        vec![
+            FaultEvent::Inject(Coord::new(6, 6)),
+            FaultEvent::Repair(Coord::new(6, 6)),
+        ],
+    );
     // Batch 3: another injection.
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(4, 5))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(4, 5))]);
     service.quiesce();
 
     let first = updates.try_recv().expect("batch 1 produced an update");
@@ -139,9 +140,11 @@ fn bounded_subscribers_drop_updates_instead_of_stalling() {
     // never reads: at least one lands, the rest are dropped, ingestion
     // finishes regardless.
     for i in 0..10i32 {
-        service
-            .submit(1, vec![FaultEvent::Inject(Coord::new(3 * (i % 10), 0))])
-            .unwrap();
+        ingest(
+            &service,
+            1,
+            vec![FaultEvent::Inject(Coord::new(3 * (i % 10), 0))],
+        );
     }
     service.quiesce();
 
@@ -158,15 +161,11 @@ fn dropped_subscribers_are_unregistered() {
     let service = MonitorService::start(small_config());
     service.create_tenant(1, Mesh2D::square(8));
     let updates = service.subscribe(1, None).unwrap();
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(1, 1))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(1, 1))]);
     service.quiesce();
     assert_eq!(service.stats().updates_sent, 1);
     drop(updates);
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(5, 5))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(5, 5))]);
     service.quiesce();
     let stats = service.stats();
     assert_eq!(stats.updates_sent, 1, "nobody left to deliver to");
@@ -177,7 +176,11 @@ fn dropped_subscribers_are_unregistered() {
 #[test]
 fn try_submit_surfaces_backpressure_without_losing_order() {
     // One worker with a single-batch queue: keep the worker busy long
-    // enough and try_submit must eventually report Backpressure.
+    // enough and a non-blocking ingest (zero deadline, zero retries)
+    // must eventually report saturation.
+    let never_wait = RetryPolicy::default()
+        .with_deadline(Duration::ZERO)
+        .with_max_retries(0);
     let service = MonitorService::start(
         ServeConfig::default()
             .with_shards(1)
@@ -192,9 +195,9 @@ fn try_submit_surfaces_backpressure_without_losing_order() {
         let batch: Vec<FaultEvent> = (0..8)
             .map(|y| FaultEvent::Inject(Coord::new(x, 8 * y)))
             .collect();
-        match service.try_submit(1, batch) {
+        match service.ingest(1, batch, &never_wait) {
             Ok(()) => accepted += 8,
-            Err(SubmitError::Backpressure(1)) => saw_backpressure = true,
+            Err(IngestError::Saturated { tenant: 1, .. }) => saw_backpressure = true,
             Err(other) => panic!("unexpected error: {other}"),
         }
     }
@@ -214,9 +217,7 @@ fn shutdown_drains_queued_batches_and_drop_is_equivalent() {
         service.create_tenant(1, Mesh2D::square(16));
         let updates = service.subscribe(1, None).unwrap();
         for x in 0..10 {
-            service
-                .submit(1, vec![FaultEvent::Inject(Coord::new(x, x))])
-                .unwrap();
+            ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(x, x))]);
         }
         // No quiesce: shutdown itself must drain the queues first.
         if explicit {
@@ -238,16 +239,15 @@ fn shutdown_drains_queued_batches_and_drop_is_equivalent() {
 fn region_of_through_the_service_reflects_engine_semantics() {
     let service = MonitorService::start(small_config());
     service.create_tenant(1, Mesh2D::square(12));
-    service
-        .submit(
-            1,
-            vec![
-                FaultEvent::Inject(Coord::new(2, 2)),
-                FaultEvent::Inject(Coord::new(3, 3)),
-                FaultEvent::Inject(Coord::new(3, 4)),
-            ],
-        )
-        .unwrap();
+    ingest(
+        &service,
+        1,
+        vec![
+            FaultEvent::Inject(Coord::new(2, 2)),
+            FaultEvent::Inject(Coord::new(3, 3)),
+            FaultEvent::Inject(Coord::new(3, 4)),
+        ],
+    );
     service.quiesce();
     let region = service
         .region_of(1, Coord::new(2, 2))
@@ -266,4 +266,31 @@ fn region_of_through_the_service_reflects_engine_semantics() {
     assert_eq!(service.polygons(1).unwrap().len(), 1);
     let _ = Connectivity::Eight; // semantic anchor: components are 8-connected
     service.shutdown();
+}
+
+#[test]
+fn concurrent_single_event_ingest_into_one_tenant_applies_every_batch() {
+    // Four threads race single-node batches into one tenant owned by one
+    // worker: every batch must be applied and credited, whatever order
+    // the sends reach the queue in.
+    let service = Arc::new(MonitorService::start(
+        ServeConfig::default().with_shards(4).with_workers(1),
+    ));
+    assert!(service.create_tenant(1, Mesh2D::square(64)));
+    let threads: Vec<_> = (0..4i32)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                for i in 0..256i32 {
+                    let c = Coord::new(i % 64, 16 * t + i / 64);
+                    ingest(&service, 1, vec![FaultEvent::Inject(c)]);
+                }
+            })
+        })
+        .collect();
+    for thread in threads {
+        thread.join().unwrap();
+    }
+    assert!(service.quiesce_timeout(Duration::from_secs(10)));
+    assert_eq!(service.counts(1).unwrap().faulty, 1024);
 }

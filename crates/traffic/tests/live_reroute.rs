@@ -2,20 +2,19 @@
 //! lossless tracking, forced drops with snapshot resync, and convergence
 //! under churn plus an injected worker kill.
 
-use std::time::{Duration, Instant};
-
 use mesh2d::{Coord, FaultEvent, Mesh2D};
 use meshroute::PairSample;
 use mocp_serve::chaos::install_quiet_panic_hook;
-use mocp_serve::{ChaosPlan, KillMode, KillSpec, MonitorService, ServeConfig, TenantHealth};
+use mocp_serve::{
+    ChaosPlan, KillMode, KillSpec, MonitorService, RetryPolicy, ServeConfig, TenantHealth,
+};
 use mocp_traffic::LiveReroute;
 
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_micros(200));
-    }
+/// Ingests one batch, waiting as long as the owning queue stays full.
+fn ingest(service: &MonitorService, tenant: u64, events: Vec<FaultEvent>) {
+    service
+        .ingest(tenant, events, &RetryPolicy::unbounded())
+        .unwrap();
 }
 
 /// The subscriber's mirror equals the tenant's live state and the routes
@@ -36,9 +35,7 @@ fn roomy_subscription_tracks_without_gaps() {
     let mut live = LiveReroute::attach(&service, 1, &mesh, &sample, 64).unwrap();
 
     for i in 0..6i32 {
-        service
-            .submit(1, vec![FaultEvent::Inject(Coord::new(2 + i, 7))])
-            .unwrap();
+        ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(2 + i, 7))]);
     }
     service.quiesce();
     let drained = live.pump(&service);
@@ -64,9 +61,11 @@ fn dropped_updates_are_detected_as_gaps_and_resynced() {
     let mut live = LiveReroute::attach(&service, 1, &mesh, &sample, 1).unwrap();
 
     for i in 0..8i32 {
-        service
-            .submit(1, vec![FaultEvent::Inject(Coord::new(2 + i, 2 + i))])
-            .unwrap();
+        ingest(
+            &service,
+            1,
+            vec![FaultEvent::Inject(Coord::new(2 + i, 2 + i))],
+        );
     }
     service.quiesce();
     let drained = live.pump(&service);
@@ -79,18 +78,12 @@ fn dropped_updates_are_detected_as_gaps_and_resynced() {
     // ...and a drop *in front of* a surviving update surfaces as a hard
     // seq gap on the pump path itself: fill the buffer (seq k kept,
     // seq k+1 dropped), drain it, then let seq k+2 arrive.
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(12, 2))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(12, 2))]);
     service.quiesce();
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(12, 3))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(12, 3))]);
     service.quiesce();
     live.pump(&service); // applies seq k; seq k+1 is already lost
-    service
-        .submit(1, vec![FaultEvent::Inject(Coord::new(12, 4))])
-        .unwrap();
+    ingest(&service, 1, vec![FaultEvent::Inject(Coord::new(12, 4))]);
     service.quiesce();
     live.pump(&service); // sees seq k+2 — a discontinuity
     assert!(live.gaps() >= 1, "gap detected from seq discontinuity");
@@ -119,8 +112,9 @@ fn churn_with_worker_kill_and_drops_matches_oracle() {
     let sample = PairSample::random(&mesh, 60, 13);
     let mut live = LiveReroute::attach(&service, 1, &mesh, &sample, 2).unwrap();
 
-    // Fault/repair churn: batch 5 dies mid-apply and is replayed from the
-    // WAL; the capacity-2 subscription drops most of the rest.
+    // Fault/repair churn: batch 5 panics mid-apply and its worker rebuilds
+    // the tenant in place; the capacity-2 subscription drops most of the
+    // rest.
     let churn: Vec<Vec<FaultEvent>> = (0..10i32)
         .map(|i| {
             let c = Coord::new(3 + i, 9);
@@ -135,12 +129,14 @@ fn churn_with_worker_kill_and_drops_matches_oracle() {
         })
         .collect();
     for batch in churn {
-        service.submit(1, batch).unwrap();
+        ingest(&service, 1, batch);
     }
     service.quiesce();
-    wait_until("tenant live after recovery", || {
-        service.health(1) == Some(TenantHealth::Live)
-    });
+    assert_eq!(
+        service.health(1),
+        Some(TenantHealth::Live),
+        "quiesce means the rebuilt tenant is live"
+    );
     assert!(service.chaos().kills_fired() >= 1, "the kill fired");
 
     live.pump(&service);

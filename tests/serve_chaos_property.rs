@@ -2,17 +2,18 @@
 //! fault plan converges back to the sequential oracle.
 //!
 //! Each case derives a chaos run from a random seed — tenant streams,
-//! worker-kill schedule (clean and mid-apply), lossy live-reroute
+//! batch-panic schedule (before and mid-apply), lossy live-reroute
 //! subscribers — and asserts the full robustness contract afterwards:
 //!
-//! * every scheduled kill fired and every tenant is `Live` again;
+//! * every scheduled kill fired and every tenant is `Live` after the
+//!   quiesce;
 //! * every tenant's served status/regions equal [`replay_tenant`]'s
 //!   sequential ground truth (same equality the fault-free
-//!   `serve_workload` pins, now across worker deaths and WAL replay);
+//!   `serve_workload` pins, now across batch panics and rebuilds);
 //! * every subscriber's `RerouteIndex` equals from-scratch routing over
 //!   the tenant's final state, despite dropped updates and recovery;
 //! * nothing was lost or double-applied: the submitted event count is
-//!   exact, and dead workers match fired kills.
+//!   exact, and absorbed panics match fired kills.
 //!
 //! The suite is seeded and thread-count independent — CI runs it under
 //! `RAYON_NUM_THREADS=1` and `=4`, and the cases themselves sweep the
@@ -50,7 +51,7 @@ proptest! {
         prop_assert!(outcome.kills_fired >= 1, "the plan fired: {outcome:?}");
         prop_assert_eq!(
             outcome.panicked_workers, outcome.kills_fired,
-            "every fired kill took a worker down"
+            "every fired kill was absorbed by a rebuild"
         );
         prop_assert!(
             outcome.subscriber_gaps + outcome.subscriber_resyncs >= 1,
