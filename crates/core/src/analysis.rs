@@ -27,8 +27,8 @@ pub enum CentralizedSolution {
     #[default]
     VirtualBlock,
     /// Solution 2: disable every node on a concave row/column section.
-    /// Reported "rounds" are scan iterations (an algorithmic metric used by
-    /// the ablation benchmark, not neighbor exchanges).
+    /// Reported "rounds" are scan iterations (an algorithmic metric for
+    /// comparing the two solutions, not neighbor exchanges).
     ConcaveSections,
 }
 

@@ -15,8 +15,9 @@
 //! minimum polygon and round accounting out, with the solution formulation
 //! chosen by [`CentralizedSolution`]. [`polygon_from_cells`] is the
 //! cell-set-shaped convenience wrapper. `CentralizedMfpModel` itself now
-//! routes every component through here, so the batch models, the ablation
-//! benches and the incremental engine all share one construction path.
+//! routes every component through here, so the batch models, the
+//! `CMFP-concave` variant and the incremental engine all share one
+//! construction path.
 
 use crate::analysis::CentralizedSolution;
 use crate::centralized::VirtualBlockSolver;

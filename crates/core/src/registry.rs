@@ -6,8 +6,8 @@ use fblock::ModelRegistry;
 
 /// The registry of the paper's four fault models, in presentation order:
 /// FB and FP (from `fblock`) plus CMFP and DMFP (from this crate). This
-/// is the single constructor the experiment harness, benches, examples
-/// and tests resolve models through.
+/// is the single constructor the experiment harness, the benchmark, the
+/// examples and the tests resolve models through.
 pub fn standard_registry() -> ModelRegistry {
     let mut registry = fblock::baseline_registry();
     registry.register(
@@ -23,8 +23,8 @@ pub fn standard_registry() -> ModelRegistry {
     registry
 }
 
-/// [`standard_registry`] extended with internal formulation variants used
-/// by the ablation benches: `CMFP-concave` runs centralized solution 2
+/// [`standard_registry`] extended with internal formulation variants for
+/// differential tests: `CMFP-concave` runs centralized solution 2
 /// (concave row/column sections) which produces the same polygons as
 /// `CMFP` through a different algorithm.
 pub fn ablation_registry() -> ModelRegistry {

@@ -15,8 +15,6 @@
 //!   section notification of Section 3.2 are message protocols.
 //! * [`RoundStats`] — round / message / state-change accounting shared by
 //!   both engines.
-//! * [`parallel`] — optional crossbeam-based parallel stepping of local
-//!   rules, used by the ablation benchmarks.
 //!
 //! Both engines are deterministic: node updates are applied synchronously and
 //! message inboxes are sorted, so a given protocol and fault pattern always
@@ -27,7 +25,6 @@
 
 pub mod engine;
 pub mod message;
-pub mod parallel;
 pub mod stats;
 
 pub use engine::{run_local_rule, run_local_rule_with_limit, LocalRuleAutomaton};

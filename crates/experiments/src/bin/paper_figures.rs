@@ -27,6 +27,11 @@ use experiments::{
 };
 use faultgen::FaultDistribution;
 
+/// The figure names accepted on the command line.
+const FIGURES: [&str; 7] = [
+    "fig9a", "fig9b", "fig10a", "fig10b", "fig11a", "fig11b", "all",
+];
+
 fn usage() -> ! {
     eprintln!(
         "usage: paper_figures [--dim 2|3] [--quick] [--trials N] [--threads N] [--csv] \
@@ -100,6 +105,9 @@ fn main() {
             "--trials" => {
                 let n = args.next().unwrap_or_else(|| usage());
                 trials = Some(n.parse().unwrap_or_else(|_| usage()));
+                if trials == Some(0) {
+                    usage();
+                }
             }
             "--threads" => {
                 let n = args.next().unwrap_or_else(|| usage());
@@ -132,9 +140,8 @@ fn main() {
                 }
                 return;
             }
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => usage(),
-            other => figures.push(other.to_string()),
+            other if FIGURES.contains(&other) => figures.push(other.to_string()),
+            _ => usage(),
         }
     }
     if figures.is_empty() {

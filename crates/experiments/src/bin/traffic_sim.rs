@@ -42,6 +42,16 @@ fn parse<T: std::str::FromStr>(value: Option<String>) -> T {
         .unwrap_or_else(|| usage())
 }
 
+/// Parses a count that must be at least 1: zero is a usage error, not a
+/// value to clamp.
+fn positive<T: std::str::FromStr + Default + PartialEq>(value: Option<String>) -> T {
+    let n: T = parse(value);
+    if n == T::default() {
+        usage();
+    }
+    n
+}
+
 fn list(value: Option<String>) -> Vec<String> {
     let list: Vec<String> = value
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
@@ -72,7 +82,7 @@ fn main() {
             "--mesh" => scenario.mesh_size = parse(args.next()),
             "--faults" => scenario.faults = parse(args.next()),
             "--messages" => scenario.messages = parse(args.next()),
-            "--trials" => scenario.trials = parse(args.next()),
+            "--trials" => scenario.trials = positive(args.next()),
             "--models" => scenario.models = list(args.next()),
             "--pattern" => scenario.patterns = list(args.next()),
             "--distribution" => {
@@ -80,8 +90,8 @@ fn main() {
                 scenario.distribution =
                     FaultDistribution::from_label(&label).unwrap_or_else(|| usage());
             }
-            "--rate" => scenario.injection_rate = parse(args.next()),
-            "--vc-capacity" => scenario.vc_capacity = parse(args.next()),
+            "--rate" => scenario.injection_rate = positive(args.next()),
+            "--vc-capacity" => scenario.vc_capacity = positive(args.next()),
             "--max-cycles" => scenario.max_cycles = parse(args.next()),
             "--seed" => scenario.base_seed = parse(args.next()),
             "--threads" => {

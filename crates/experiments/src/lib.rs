@@ -28,15 +28,12 @@
 //! single-mesh evaluation, the [`serve_workload`] module generates the
 //! deterministic N-tenants × M-events × K-queries load (seeded
 //! inject/repair churn) that drives the multi-tenant monitoring
-//! service ([`mocp_serve`]) — from the `serve_workload` binary, the
-//! sequential-equivalence tests and the `serve_ingest_1k_tenants` perf
-//! workload. The [`chaos_workload`] module runs the same streams against
-//! a service armed with a seeded fault plan — batch panics, in-place
-//! rebuilds, lossy live-reroute subscribers — and verifies convergence back to the
-//! sequential oracle (the `serve_chaos` binary and the chaos property
-//! test).
-//! The Criterion benches in the `bench` crate reuse the same sweep code
-//! so the benchmarked work is exactly the reported work.
+//! service ([`mocp_serve`]) — from the `serve_workload` binary and the
+//! sequential-equivalence tests. The [`chaos_workload`] module runs the
+//! same streams against a service armed with a seeded fault plan — batch
+//! panics, in-place rebuilds, lossy live-reroute subscribers — and
+//! verifies convergence back to the sequential oracle (the `serve_chaos`
+//! binary and the chaos property test).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

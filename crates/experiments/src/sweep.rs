@@ -1,7 +1,7 @@
 //! Sweep sizing and the per-model metric point.
 //!
 //! The legacy `run_sweep` adapter (fixed FB/FP/CMFP/DMFP columns) is
-//! gone: every figure, bench and example now calls
+//! gone: every figure, test and example now calls
 //! [`run_scenario`](crate::scenario::run_scenario) directly. What remains
 //! here is the *sizing* vocabulary shared by every sweep — [`SweepConfig`]
 //! (mesh side, fault counts, trials, base seed) and [`ModelPoint`] (the
@@ -46,7 +46,7 @@ impl SweepConfig {
         }
     }
 
-    /// A small configuration for unit tests and smoke benchmarks.
+    /// A small configuration for unit tests and smoke runs.
     pub fn quick() -> Self {
         SweepConfig {
             mesh_size: 30,

@@ -2,10 +2,13 @@
 //! simulator can hold: one occupancy byte per virtual channel, so 255 is
 //! the largest, and anything above it is rejected while the arguments are
 //! parsed instead of being truncated to a smaller (or zero) capacity.
+//! Zero trials, rate or capacity is rejected the same way: each must be at
+//! least 1.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn traffic_sim(capacity: &str) -> std::process::Output {
+/// Runs a small uniform-traffic sweep; `extra` flags override the base ones.
+fn traffic_sim(extra: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_traffic_sim"))
         .args([
             "--quick",
@@ -15,22 +18,33 @@ fn traffic_sim(capacity: &str) -> std::process::Output {
             "--trials",
             "1",
         ])
-        .args(["--pattern", "uniform", "--vc-capacity", capacity])
+        .args(["--pattern", "uniform"])
+        .args(extra)
         .output()
         .expect("traffic_sim runs")
 }
 
-#[test]
-fn vc_capacity_above_255_is_rejected() {
-    let out = traffic_sim("256");
-    assert!(!out.status.success(), "--vc-capacity 256 must fail");
-    assert!(out.stdout.is_empty(), "no CSV for a rejected capacity");
+fn assert_usage_error(out: &Output, what: &str) {
+    assert_eq!(out.status.code(), Some(2), "{what} must exit 2");
+    assert!(out.stdout.is_empty(), "no CSV for {what}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
 #[test]
+fn vc_capacity_above_255_is_rejected() {
+    assert_usage_error(&traffic_sim(&["--vc-capacity", "256"]), "--vc-capacity 256");
+}
+
+#[test]
+fn zero_trials_rate_or_capacity_is_rejected() {
+    for flag in ["--trials", "--rate", "--vc-capacity"] {
+        assert_usage_error(&traffic_sim(&[flag, "0"]), &format!("{flag} 0"));
+    }
+}
+
+#[test]
 fn vc_capacity_255_delivers_every_message() {
-    let out = traffic_sim("255");
+    let out = traffic_sim(&["--vc-capacity", "255"]);
     assert!(out.status.success(), "--vc-capacity 255 must run");
     let csv = String::from_utf8(out.stdout).expect("utf-8 CSV");
     let mut lines = csv.lines();

@@ -15,12 +15,12 @@
 //! * [`deadlock`] — the channel dependency graph built from a set of routes
 //!   and its acyclicity check (the empirical deadlock-freedom argument);
 //! * [`sample`] — the shared, deterministic source/destination pair sampler
-//!   ([`PairSample`]) injected into experiments, benches and the traffic
+//!   ([`PairSample`]) injected into experiments, the benchmark and the traffic
 //!   simulator's reachable-pair probe, so all layers measure one pair
 //!   population;
 //! * [`simulate`] — batch routing experiments (delivery rate, path stretch,
-//!   abnormal hops) used by the examples and the ablation benchmark that
-//!   compares routing over FB regions against routing over MFP regions.
+//!   abnormal hops) used by the examples and the integration tests that
+//!   compare routing over FB regions against routing over MFP regions.
 //!
 //! Region state is reusable: derive a [`RegionMap`] once per status map and
 //! construct any number of [`ExtendedECube::with_regions`] routers over it —

@@ -1,10 +1,10 @@
 //! Shared source/destination pair sampling.
 //!
 //! The routing experiment, the traffic simulator's reachable-pair probe and
-//! the ablation benchmark all need "a deterministic sample of node pairs".
-//! Keeping one sampler here means they measure the *same* pair population,
-//! so a delivery-rate number from one layer is directly comparable to the
-//! reachable-pair fraction from another.
+//! the benchmark's routing workload all need "a deterministic sample of
+//! node pairs". Keeping one sampler here means they measure the *same*
+//! pair population, so a delivery-rate number from one layer is directly
+//! comparable to the reachable-pair fraction from another.
 
 use mesh2d::{Coord, Mesh2D};
 use rand::{rngs::StdRng, Rng, SeedableRng};

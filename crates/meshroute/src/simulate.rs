@@ -4,7 +4,7 @@
 //! disabled nodes means more usable sources/destinations and shorter detours.
 //! [`RoutingExperiment`] routes a deterministic sample of node pairs over a
 //! given status map and reports delivery rate, average stretch, and abnormal
-//! hops — the metrics the `ablation_routing` benchmark compares between FB
+//! hops — the metrics `tests/models_integration.rs` compares between FB
 //! and MFP regions.
 
 use crate::deadlock::ChannelDependencyGraph;
@@ -60,7 +60,7 @@ impl<'a> RoutingExperiment<'a> {
     }
 
     /// Creates an experiment over an injected pair sample, so different
-    /// layers (traffic probes, ablation benches) measure one shared pair
+    /// layers (traffic probes, the benchmark) measure one shared pair
     /// population.
     pub fn with_sample(mesh: &'a Mesh2D, status: &'a StatusMap, sample: PairSample) -> Self {
         RoutingExperiment {

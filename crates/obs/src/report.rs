@@ -1,9 +1,9 @@
-//! Snapshot types and renderers shared by both build modes.
+//! Snapshot types and the table renderer shared by both build modes.
 //!
 //! Everything here is plain data: the live registry produces
 //! [`MetricSample`]s, the no-op stubs produce an empty list, and the
-//! renderers work on either. Keeping these types feature-independent
-//! means consumers (`perf_report`, `paper_figures`) can format metrics
+//! renderer works on either. Keeping these types feature-independent
+//! means consumers (`paper_figures`, `serve_workload`) can format metrics
 //! without any `cfg` of their own.
 
 /// Digest of one histogram at snapshot time. Percentiles are reported as
@@ -95,34 +95,5 @@ pub fn render_table(samples: &[MetricSample]) -> String {
         };
         out.push_str(&format!("  {:<width$}  {rendered}\n", sample.name));
     }
-    out
-}
-
-/// Renders samples as a deterministic JSON object (`{"name": value,
-/// ...}`, histograms as nested objects). Names arrive sorted from the
-/// registry, so equal snapshots serialize identically.
-pub fn render_json(samples: &[MetricSample]) -> String {
-    let mut out = String::from("{");
-    for (i, sample) in samples.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": ", sample.name));
-        match sample.value {
-            MetricValue::Counter(v) => out.push_str(&v.to_string()),
-            MetricValue::Gauge(v) => out.push_str(&v.to_string()),
-            MetricValue::Histogram(h) => out.push_str(&format!(
-                "{{\"count\": {}, \"sum\": {}, \"mean\": {:.3}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                h.count,
-                h.sum,
-                h.mean(),
-                h.p50,
-                h.p90,
-                h.p99,
-                h.max
-            )),
-        }
-    }
-    out.push('}');
     out
 }

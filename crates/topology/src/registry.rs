@@ -1,6 +1,6 @@
 //! Name-keyed registry of fault-model constructors.
 //!
-//! The experiment harness, the benches and the examples all need to turn
+//! The experiment harness, the benchmark and the examples all need to turn
 //! a model *name* ("FB", "CMFP", "MFP3D", …) into a ready-to-run
 //! [`FaultModel`]. A scenario lists model names and resolves them through
 //! one registry, so adding a model to every sweep is a single
